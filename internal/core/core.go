@@ -623,7 +623,7 @@ func (e *Engine) Explain(query string) (string, error) {
 // returns fewer rows than estimated. Callers keep g pinned so the scan
 // cardinality is stable.
 func (e *Engine) chosenParallelism(g *graph.Graph, pl *plan.Plan) int {
-	if e.opts.Parallelism <= 1 || pl.Parallel == nil || !pl.Parallel.Safe {
+	if e.opts.Parallelism <= 1 || pl.Pipeline == nil || !pl.Pipeline.Parallel() {
 		return 1
 	}
 	morselSize := e.opts.MorselSize
@@ -632,7 +632,7 @@ func (e *Engine) chosenParallelism(g *graph.Graph, pl *plan.Plan) int {
 	}
 	stats := g.Stats()
 	var n int
-	switch s := pl.Parallel.Scan.(type) {
+	switch s := pl.Pipeline.Scan.(type) {
 	case *plan.AllNodesScan:
 		n = stats.NodeCount
 	case *plan.NodeByLabelScan:

@@ -50,7 +50,7 @@ func TestGoldenExplainPlans(t *testing.T) {
   + Project(n AS n) [rows~25 cost~50]
     + NodeIndexRangeSeek(n:Person {age > 90}) [rows~25 cost~25]
       + Start [rows~1.0 cost~0.0]
-parallel: eligible (morsel-driven NodeIndexRangeSeek(n:Person {age > 90}), unordered merge)
+parallel: eligible (morsel-driven NodeIndexRangeSeek(n:Person {age > 90}))
 vectorized: eligible (batched NodeIndexRangeSeek(n:Person {age > 90}) -> project -> select)
 runtime parallelism: 1
 `,
@@ -63,7 +63,7 @@ runtime parallelism: 1
       + Aggregate(  agg#1: count(n)) [rows~1.0 cost~20]
         + NodeIndexRangeSeek(n:Person {age > 90, age <= 95}) [rows~10 cost~10]
           + Start [rows~1.0 cost~0.0]
-parallel: eligible (morsel-driven NodeIndexRangeSeek(n:Person {age > 90, age <= 95}), unordered merge, partial aggregation)
+parallel: eligible (morsel-driven NodeIndexRangeSeek(n:Person {age > 90, age <= 95}), partial aggregation)
 vectorized: row-at-a-time (Aggregate materializes groups row-at-a-time)
 runtime parallelism: 1
 `,
@@ -74,7 +74,7 @@ runtime parallelism: 1
   + Project(n AS n) [rows~5.0 cost~10]
     + NodeIndexPrefixSeek(n:Person {name STARTS WITH 'p1'}) [rows~5.0 cost~5.0]
       + Start [rows~1.0 cost~0.0]
-parallel: eligible (morsel-driven NodeIndexPrefixSeek(n:Person {name STARTS WITH 'p1'}), unordered merge)
+parallel: eligible (morsel-driven NodeIndexPrefixSeek(n:Person {name STARTS WITH 'p1'}))
 vectorized: eligible (batched NodeIndexPrefixSeek(n:Person {name STARTS WITH 'p1'}) -> project -> select)
 runtime parallelism: 1
 `,
@@ -85,7 +85,7 @@ runtime parallelism: 1
   + Project(n AS n) [rows~3.0 cost~6.0]
     + NodeIndexSeek(n:Person {age IN [1, 2, 3]}) [rows~3.0 cost~3.0]
       + Start [rows~1.0 cost~0.0]
-parallel: eligible (morsel-driven NodeIndexSeek(n:Person {age IN [1, 2, 3]}), unordered merge)
+parallel: eligible (morsel-driven NodeIndexSeek(n:Person {age IN [1, 2, 3]}))
 vectorized: eligible (batched NodeIndexSeek(n:Person {age IN [1, 2, 3]}) -> project -> select)
 runtime parallelism: 1
 `,
@@ -96,7 +96,7 @@ runtime parallelism: 1
   + Project(n AS n) [rows~1.0 cost~2.0]
     + NodeIndexSeek(n:Person {age = 30}) [rows~1.0 cost~1.0]
       + Start [rows~1.0 cost~0.0]
-parallel: eligible (morsel-driven NodeIndexSeek(n:Person {age = 30}), unordered merge)
+parallel: eligible (morsel-driven NodeIndexSeek(n:Person {age = 30}))
 vectorized: eligible (batched NodeIndexSeek(n:Person {age = 30}) -> project -> select)
 runtime parallelism: 1
 `,
@@ -108,7 +108,7 @@ runtime parallelism: 1
     + Filter(n.name <> 'p95') [rows~12 cost~50]
       + NodeIndexRangeSeek(n:Person {age > 90}) [rows~25 cost~25]
         + Start [rows~1.0 cost~0.0]
-parallel: eligible (morsel-driven NodeIndexRangeSeek(n:Person {age > 90}), unordered merge)
+parallel: eligible (morsel-driven NodeIndexRangeSeek(n:Person {age > 90}))
 vectorized: eligible (batched NodeIndexRangeSeek(n:Person {age > 90}) -> filter -> project -> select)
 runtime parallelism: 1
 `,
@@ -119,7 +119,7 @@ runtime parallelism: 1
   + Project(n AS n) [rows~1.0 cost~2.0]
     + NodeIndexSeek(n:Person {age = 5}) [rows~1.0 cost~1.0]
       + Start [rows~1.0 cost~0.0]
-parallel: eligible (morsel-driven NodeIndexSeek(n:Person {age = 5}), unordered merge)
+parallel: eligible (morsel-driven NodeIndexSeek(n:Person {age = 5}))
 vectorized: eligible (batched NodeIndexSeek(n:Person {age = 5}) -> project -> select)
 runtime parallelism: 1
 `,
@@ -131,7 +131,7 @@ runtime parallelism: 1
     + Filter(c.cid > 3) [rows~5.0 cost~20]
       + NodeByLabelScan(c:Company) [rows~10 cost~10]
         + Start [rows~1.0 cost~0.0]
-parallel: eligible (morsel-driven NodeByLabelScan(c:Company), unordered merge)
+parallel: eligible (morsel-driven NodeByLabelScan(c:Company))
 vectorized: eligible (batched NodeByLabelScan(c:Company) -> filter -> project -> select)
 runtime parallelism: 1
 `,
@@ -146,7 +146,7 @@ runtime parallelism: 1
           + Expand((c)<--[  rel#1:WORKS_AT](p)) [rows~9.1 cost~19]
             + NodeByLabelScan(c:Company) [rows~10 cost~10]
               + Start [rows~1.0 cost~0.0]
-parallel: eligible (morsel-driven NodeByLabelScan(c:Company), unordered merge, partial aggregation)
+parallel: eligible (morsel-driven NodeByLabelScan(c:Company), partial aggregation)
 vectorized: eligible (batched NodeByLabelScan(c:Company) -> expand -> filter; Aggregate materializes groups row-at-a-time)
 runtime parallelism: 1
 `,
@@ -173,7 +173,7 @@ runtime parallelism: 1
   + Project(n AS n) [rows~100 cost~200]
     + NodeByLabelScan(n:Person) [rows~100 cost~100]
       + Start [rows~1.0 cost~0.0]
-parallel: eligible (morsel-driven NodeByLabelScan(n:Person), unordered merge)
+parallel: eligible (morsel-driven NodeByLabelScan(n:Person))
 vectorized: eligible (batched NodeByLabelScan(n:Person) -> project -> select)
 runtime parallelism: 1
 `,

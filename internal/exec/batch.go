@@ -1,7 +1,7 @@
 package exec
 
-// Vectorized (batched) execution of the batch-safe plan segment marked by
-// plan.AnalyzeVectorization. Instead of pushing one borrowed row per emit
+// Vectorized (batched) execution of the batched plan prefix marked by
+// plan.AnalyzePipeline. Instead of pushing one borrowed row per emit
 // call, the scan chunks its node set into result.Batch columns (one slice
 // per slot, capacity aligned with the morsel size) and pushes whole batches
 // through operator kernels:
@@ -657,55 +657,15 @@ func (ex *Executor) buildExpandKernel(o *plan.Expand, bp *batchPipeline, emit ba
 // --- Vectorized drivers ---
 
 // executeVectorized attempts a serial vectorized run of the plan's batched
-// segment with the remaining operators rebased on top, row-at-a-time. done
-// is false when the plan is not eligible (the caller takes the row path).
-func (ex *Executor) executeVectorized(p *plan.Plan) (tbl *result.Table, done bool, err error) {
-	info := p.Vector
-	if info == nil {
-		info = plan.AnalyzeVectorization(p)
-	}
-	if !info.Eligible {
+// prefix with the remaining operators rebased on top, row-at-a-time. done
+// is false when a leaf seek's operand fails to evaluate or the remainder
+// cannot be rebased (the caller takes the row path).
+func (ex *Executor) executeVectorized(p *plan.Plan, pl *plan.Pipeline) (tbl *result.Table, done bool, err error) {
+	varName, nodes, ok := ex.leafNodes(pl.Scan)
+	if !ok {
 		return nil, false, nil
 	}
-	var varName string
-	var nodes []*graph.Node
-	switch s := info.Scan.(type) {
-	case *plan.AllNodesScan:
-		varName, nodes = s.Var, ex.graph.Nodes()
-	case *plan.NodeByLabelScan:
-		varName, nodes = s.Var, ex.graph.NodesByLabel(s.Label)
-	case *plan.NodeIndexSeek:
-		// Leaf seeks evaluate their operands over the unit row; evaluation
-		// errors fall back to the serial path, which reports them identically.
-		ns, err := ex.indexSeekNodes(s, result.NewSlotted(ex.tab))
-		if err != nil {
-			return nil, false, nil
-		}
-		varName, nodes = s.Var, ns
-	case *plan.NodeIndexRangeSeek:
-		ns, err := ex.rangeSeekNodes(s, result.NewSlotted(ex.tab))
-		if err != nil {
-			return nil, false, nil
-		}
-		varName, nodes = s.Var, ns
-	case *plan.NodeIndexPrefixSeek:
-		ns, err := ex.prefixSeekNodes(s, result.NewSlotted(ex.tab))
-		if err != nil {
-			return nil, false, nil
-		}
-		varName, nodes = s.Var, ns
-	default:
-		return nil, false, nil
-	}
-	var ops []plan.Operator
-	for op := p.Root; op != nil; op = op.Source() {
-		ops = append(ops, op)
-	}
-	for i, j := 0, len(ops)-1; i < j; i, j = i+1, j-1 {
-		ops[i], ops[j] = ops[j], ops[i]
-	}
-	rest := ops[2+len(info.Batched):]
-	top, err := buildChain(&vecSource{varName: varName, nodes: nodes, ops: info.Batched}, rest)
+	top, err := buildChain(&vecSource{varName: varName, nodes: nodes, ops: pl.Ops[:pl.Batched]}, pl.Ops[pl.Batched:])
 	if err != nil {
 		return nil, false, nil
 	}

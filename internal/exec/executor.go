@@ -161,13 +161,17 @@ func (ex *Executor) Execute(p *plan.Plan) (tbl *result.Table, err error) {
 		// publication.
 		ex.tab = plan.ComputeSlots(p)
 	}
-	if ex.opts.Parallelism > 1 {
-		if tbl, done, err := ex.executeParallel(p); done {
+	pl := p.Pipeline
+	if pl == nil {
+		pl = plan.AnalyzePipeline(p)
+	}
+	if ex.opts.Parallelism > 1 && pl.Parallel() {
+		if tbl, done, err := ex.executeParallel(p, pl); done {
 			return tbl, err
 		}
 	}
-	if ex.batchSize() > 0 {
-		if tbl, done, err := ex.executeVectorized(p); done {
+	if ex.batchSize() > 0 && pl.Batched > 0 {
+		if tbl, done, err := ex.executeVectorized(p, pl); done {
 			return tbl, err
 		}
 	}

@@ -1,19 +1,18 @@
 package exec
 
 // Morsel-driven parallel execution of read-only plans. The scan at the
-// bottom of a parallel-safe plan (see plan.AnalyzeParallelism) is
-// partitioned into morsels — fixed-size slices of the node array — and a
-// bounded pool of workers runs the per-row streaming segment of the plan
-// over morsels pulled from a shared counter. Results meet at a barrier:
+// bottom of a parallel-safe plan (see plan.Pipeline) is partitioned into
+// morsels — fixed-size slices of the node array — and a bounded pool of
+// workers runs the per-row streaming segment of the plan over morsels
+// pulled from a shared counter. Results meet at a barrier, always in morsel
+// order, so every worker count reproduces the serial row order exactly:
 //
 //   - plans with an Aggregate combine morsel-local partial aggregation
-//     states in morsel order (so group order and order-sensitive aggregates
-//     like collect match the serial engine exactly);
-//   - plans whose tail contains a Sort or Distinct use an order-preserving
-//     merge (per-morsel buffers concatenated in morsel order), which makes
-//     ORDER BY output — including stable-sort tie-breaking — byte-identical
-//     to serial execution;
-//   - all other plans use a cheap unordered append under a mutex.
+//     states (so group order and order-sensitive aggregates like collect
+//     match the serial engine);
+//   - all other plans concatenate per-morsel row buffers, which also makes
+//     ORDER BY output — including stable-sort tie-breaking — and Distinct's
+//     surviving representative rows byte-identical to serial execution.
 //
 // The operators above the merge point run serially over the merged stream.
 // Workers share the executor (its fields are read-only during execution) and
@@ -131,88 +130,30 @@ func buildChain(input plan.Operator, ops []plan.Operator) (plan.Operator, error)
 	return cur, nil
 }
 
-// executeParallel attempts a morsel-driven run of the plan. done is false
-// when the plan (or the current graph size) does not warrant parallelism and
-// the caller should take the serial path.
-func (ex *Executor) executeParallel(p *plan.Plan) (tbl *result.Table, done bool, err error) {
-	info := p.Parallel
-	if info == nil {
-		info = plan.AnalyzeParallelism(p)
-	}
-	if !info.Safe {
+// executeParallel attempts a morsel-driven run of a parallel-safe plan.
+// done is false when the current scan size does not warrant parallelism (or
+// a leaf seek's operand fails to evaluate) and the caller should take the
+// serial path.
+func (ex *Executor) executeParallel(p *plan.Plan, pl *plan.Pipeline) (tbl *result.Table, done bool, err error) {
+	varName, nodes, ok := ex.leafNodes(pl.Scan)
+	if !ok {
 		return nil, false, nil
 	}
-	morselSize := ex.opts.MorselSize
-	if morselSize <= 0 {
-		morselSize = graph.DefaultMorselSize
-	}
-	var varName string
-	var morsels [][]*graph.Node
-	switch s := info.Scan.(type) {
-	case *plan.AllNodesScan:
-		varName = s.Var
-		morsels = ex.graph.NodeMorsels(morselSize)
-	case *plan.NodeByLabelScan:
-		varName = s.Var
-		morsels = ex.graph.LabelMorsels(s.Label, morselSize)
-	case *plan.NodeIndexSeek:
-		// An index seek in leaf position evaluates its operand over the unit
-		// row (no pattern variable is in scope at a leaf) and yields a node
-		// set that partitions like a scan. Evaluation errors fall back to the
-		// serial path, which reports them identically.
-		nodes, err := ex.indexSeekNodes(s, result.NewSlotted(ex.tab))
-		if err != nil {
-			return nil, false, nil
-		}
-		varName = s.Var
-		morsels = graph.Morsels(nodes, morselSize)
-	case *plan.NodeIndexRangeSeek:
-		nodes, err := ex.rangeSeekNodes(s, result.NewSlotted(ex.tab))
-		if err != nil {
-			return nil, false, nil
-		}
-		varName = s.Var
-		morsels = graph.Morsels(nodes, morselSize)
-	case *plan.NodeIndexPrefixSeek:
-		nodes, err := ex.prefixSeekNodes(s, result.NewSlotted(ex.tab))
-		if err != nil {
-			return nil, false, nil
-		}
-		varName = s.Var
-		morsels = graph.Morsels(nodes, morselSize)
-	default:
-		return nil, false, nil
-	}
+	morsels := graph.Morsels(nodes, ex.opts.MorselSize)
 	// A scan that fits in one morsel cannot amortise the pool; stay serial.
 	if len(morsels) < 2 {
 		return nil, false, nil
 	}
-	workers := ex.opts.Parallelism
-	if workers > len(morsels) {
-		workers = len(morsels)
-	}
+	workers := min(ex.opts.Parallelism, len(morsels))
 	ex.usedParallelism = workers
 
-	// When the plan's vectorized analysis covers a prefix of the streaming
-	// segment over the same scan, each worker pushes its morsel through the
-	// batched kernels and only the remainder of the segment runs
-	// row-at-a-time. Both analyses walk the same operator chain, so pointer
-	// equality identifies the shared prefix.
+	// Each worker pushes its morsel through the batched kernels as far as
+	// both prefixes reach, and runs the remainder of the streaming segment
+	// row-at-a-time.
+	streamOps := pl.Ops[:pl.Streaming]
 	vecK := 0
 	if ex.batchSize() > 0 {
-		vinfo := p.Vector
-		if vinfo == nil {
-			vinfo = plan.AnalyzeVectorization(p)
-		}
-		if vinfo.Eligible && vinfo.Scan == info.Scan {
-			for vecK < len(vinfo.Batched) && vecK < len(info.Streaming) && vinfo.Batched[vecK] == info.Streaming[vecK] {
-				vecK++
-			}
-		}
-	}
-	vecOps := make([]plan.Operator, 0, vecK)
-	if vecK > 0 {
-		vecOps = append(vecOps, info.Streaming[:vecK]...)
+		vecK = min(pl.Batched, pl.Streaming)
 	}
 
 	type morselOut struct {
@@ -220,10 +161,6 @@ func (ex *Executor) executeParallel(p *plan.Plan) (tbl *result.Table, done bool,
 		agg  *aggState
 	}
 	outs := make([]morselOut, len(morsels))
-	var (
-		mergeMu   sync.Mutex
-		unordered []result.Record
-	)
 	errs := make([]error, workers)
 	var next atomic.Int64
 	var failed atomic.Bool
@@ -255,18 +192,17 @@ func (ex *Executor) executeParallel(p *plan.Plan) (tbl *result.Table, done bool,
 				err := ex.qc.Err()
 				if err == nil {
 					if vecK > 0 {
-						top, err = buildChain(&vecSource{varName: varName, nodes: morsels[i], ops: vecOps}, info.Streaming[vecK:])
+						top, err = buildChain(&vecSource{varName: varName, nodes: morsels[i], ops: streamOps[:vecK]}, streamOps[vecK:])
 					} else {
-						top, err = buildChain(&nodeSource{varName: varName, nodes: morsels[i]}, info.Streaming)
+						top, err = buildChain(&nodeSource{varName: varName, nodes: morsels[i]}, streamOps)
 					}
 				}
 				if err == nil {
-					switch {
-					case info.Agg != nil:
-						st := ex.newAggState(info.Agg)
+					if pl.Agg != nil {
+						st := ex.newAggState(pl.Agg)
 						err = ex.run(top, nil, st.add)
 						outs[i].agg = st
-					case info.Ordered:
+					} else {
 						var buf []result.Record
 						err = ex.run(top, nil, func(r result.Record) error {
 							// Rows are borrowed from the worker's pipeline;
@@ -279,18 +215,6 @@ func (ex *Executor) executeParallel(p *plan.Plan) (tbl *result.Table, done bool,
 							return nil
 						})
 						outs[i].rows = buf
-					default:
-						var buf []result.Record
-						err = ex.run(top, nil, func(r result.Record) error {
-							if err := ex.qc.ChargeRecord(r); err != nil {
-								return err
-							}
-							buf = append(buf, r.Clone())
-							return nil
-						})
-						mergeMu.Lock()
-						unordered = append(unordered, buf...)
-						mergeMu.Unlock()
 					}
 				}
 				if err != nil {
@@ -308,11 +232,11 @@ func (ex *Executor) executeParallel(p *plan.Plan) (tbl *result.Table, done bool,
 		}
 	}
 
-	// Barrier: merge morsel outputs into the input stream of the serial tail.
+	// Barrier: merge morsel outputs, in morsel order, into the input stream
+	// of the serial tail.
 	var rows []result.Record
-	switch {
-	case info.Agg != nil:
-		merged := ex.newAggState(info.Agg)
+	if pl.Agg != nil {
+		merged := ex.newAggState(pl.Agg)
 		for i := range outs {
 			if err := merged.merge(outs[i].agg); err != nil {
 				return nil, true, err
@@ -324,7 +248,7 @@ func (ex *Executor) executeParallel(p *plan.Plan) (tbl *result.Table, done bool,
 		}); err != nil {
 			return nil, true, err
 		}
-	case info.Ordered:
+	} else {
 		total := 0
 		for i := range outs {
 			total += len(outs[i].rows)
@@ -333,11 +257,9 @@ func (ex *Executor) executeParallel(p *plan.Plan) (tbl *result.Table, done bool,
 		for i := range outs {
 			rows = append(rows, outs[i].rows...)
 		}
-	default:
-		rows = unordered
 	}
 
-	top, err := buildChain(&rowSource{rows: rows}, info.Rest)
+	top, err := buildChain(&rowSource{rows: rows}, pl.Rest())
 	if err != nil {
 		return nil, true, err
 	}

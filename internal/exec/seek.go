@@ -21,6 +21,33 @@ import (
 // mirror the expression evaluator exactly: a seek must return precisely the
 // nodes the predicate it replaced would have kept.
 
+// leafNodes enumerates the node set of a pipeline's scan leaf
+// (plan.Pipeline.Scan) and names the variable it binds. A leaf seek
+// evaluates its operands over the unit row, since no pattern variable is in
+// scope at a leaf. ok is false when that evaluation fails; the caller then
+// takes the row path, which reports the error identically.
+func (ex *Executor) leafNodes(scan plan.Operator) (varName string, nodes []*graph.Node, ok bool) {
+	var err error
+	switch s := scan.(type) {
+	case *plan.AllNodesScan:
+		return s.Var, ex.graph.Nodes(), true
+	case *plan.NodeByLabelScan:
+		return s.Var, ex.graph.NodesByLabel(s.Label), true
+	case *plan.NodeIndexSeek:
+		varName = s.Var
+		nodes, err = ex.indexSeekNodes(s, result.NewSlotted(ex.tab))
+	case *plan.NodeIndexRangeSeek:
+		varName = s.Var
+		nodes, err = ex.rangeSeekNodes(s, result.NewSlotted(ex.tab))
+	case *plan.NodeIndexPrefixSeek:
+		varName = s.Var
+		nodes, err = ex.prefixSeekNodes(s, result.NewSlotted(ex.tab))
+	default:
+		return "", nil, false
+	}
+	return varName, nodes, err == nil
+}
+
 // indexSeekNodes enumerates the nodes of an equality or IN-list seek.
 func (ex *Executor) indexSeekNodes(o *plan.NodeIndexSeek, r result.Record) ([]*graph.Node, error) {
 	v, err := ex.evalCtx.Evaluate(o.Value, r)

@@ -12,9 +12,11 @@ package graph
 // which keeps the pool load-balanced when per-row costs are skewed.
 const DefaultMorselSize = 1024
 
-// partition slices nodes into contiguous chunks of at most size elements,
-// preserving order. The chunks alias the input slice; they are never written.
-func partition(nodes []*Node, size int) [][]*Node {
+// Morsels partitions a node slice (a scan snapshot such as Nodes() or
+// NodesByLabel(), or the result of an index seek) into contiguous morsels of
+// at most size nodes, preserving order. The chunks alias the input slice;
+// they are never written.
+func Morsels(nodes []*Node, size int) [][]*Node {
 	if size <= 0 {
 		size = DefaultMorselSize
 	}
@@ -30,25 +32,4 @@ func partition(nodes []*Node, size int) [][]*Node {
 		out = append(out, nodes[start:end])
 	}
 	return out
-}
-
-// Morsels partitions an arbitrary node slice (e.g. the result of an index
-// seek) into morsels of at most size nodes, preserving order. The chunks
-// alias the input slice.
-func Morsels(nodes []*Node, size int) [][]*Node {
-	return partition(nodes, size)
-}
-
-// NodeMorsels partitions all nodes of the graph (in identifier order) into
-// morsels of at most size nodes. The node slices are snapshots: a later
-// mutation does not change them, matching the engine's snapshot-read
-// discipline (scans run entirely under the engine's shared lock).
-func (g *Graph) NodeMorsels(size int) [][]*Node {
-	return partition(g.Nodes(), size)
-}
-
-// LabelMorsels partitions the nodes carrying the label (in identifier order)
-// into morsels of at most size nodes.
-func (g *Graph) LabelMorsels(label string, size int) [][]*Node {
-	return partition(g.NodesByLabel(label), size)
 }

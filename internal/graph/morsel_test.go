@@ -16,7 +16,7 @@ func TestNodeMorsels(t *testing.T) {
 		g.CreateNode([]string{label}, map[string]value.Value{"i": value.NewInt(int64(i))})
 	}
 
-	morsels := g.NodeMorsels(4)
+	morsels := Morsels(g.Nodes(), 4)
 	if len(morsels) != 3 {
 		t.Fatalf("10 nodes at morsel size 4 should give 3 morsels, got %d", len(morsels))
 	}
@@ -34,13 +34,13 @@ func TestNodeMorsels(t *testing.T) {
 		}
 	}
 
-	if got := g.LabelMorsels("Odd", 2); len(got) != 3 || len(got[0]) != 2 || len(got[2]) != 1 {
+	if got := Morsels(g.NodesByLabel("Odd"), 2); len(got) != 3 || len(got[0]) != 2 || len(got[2]) != 1 {
 		t.Errorf("5 :Odd nodes at morsel size 2 should give morsels of 2,2,1, got %d morsels", len(got))
 	}
-	if got := g.LabelMorsels("Missing", 2); got != nil {
+	if got := Morsels(g.NodesByLabel("Missing"), 2); got != nil {
 		t.Errorf("an absent label should yield no morsels, got %d", len(got))
 	}
-	if got := g.NodeMorsels(0); len(got) != 1 || len(got[0]) != 10 {
+	if got := Morsels(g.Nodes(), 0); len(got) != 1 || len(got[0]) != 10 {
 		t.Errorf("non-positive size should fall back to DefaultMorselSize (one morsel here)")
 	}
 }

@@ -33,12 +33,10 @@ type Plan struct {
 	Columns []string
 	// ReadOnly reports whether executing the plan cannot modify the graph.
 	ReadOnly bool
-	// Parallel is the morsel-parallelism analysis of the plan (set by the
-	// planner; nil for hand-built plans, which the executor analyses lazily).
-	Parallel *ParallelInfo
-	// Vector is the batched-execution analysis of the plan (set by the
-	// planner; nil for hand-built plans, which the executor analyses lazily).
-	Vector *VectorInfo
+	// Pipeline is the batched/morsel-parallel analysis of the plan (set by
+	// the planner; nil for hand-built plans, which the executor analyses
+	// lazily).
+	Pipeline *Pipeline
 	// Slots maps every name the plan can bind to a fixed row slot (set by the
 	// planner via ComputeSlots; nil for hand-built plans, which the executor
 	// computes lazily). The executor's rows are slices indexed by these slots.
@@ -85,32 +83,24 @@ func (p *Plan) String() string {
 		sb.WriteString(l)
 		sb.WriteString("\n")
 	}
-	if p.Parallel != nil {
-		if p.Parallel.Safe {
-			merge := "unordered merge"
-			if p.Parallel.Ordered {
-				merge = "ordered merge"
-			}
+	if pl := p.Pipeline; pl != nil {
+		if pl.Parallel() {
 			agg := ""
-			if p.Parallel.Agg != nil {
+			if pl.Agg != nil {
 				agg = ", partial aggregation"
 			}
-			fmt.Fprintf(&sb, "parallel: eligible (morsel-driven %s, %s%s)\n",
-				p.Parallel.Scan.Describe(), merge, agg)
+			fmt.Fprintf(&sb, "parallel: eligible (morsel-driven %s%s)\n", pl.Scan.Describe(), agg)
 		} else {
-			fmt.Fprintf(&sb, "parallel: serial (%s)\n", p.Parallel.Reason)
+			fmt.Fprintf(&sb, "parallel: serial (%s)\n", pl.Serial)
 		}
-	}
-	if p.Vector != nil {
-		if p.Vector.Eligible {
+		if pl.Batched > 0 {
 			boundary := ""
-			if p.Vector.Boundary != "" {
-				boundary = "; " + p.Vector.Boundary
+			if pl.Boundary != "" {
+				boundary = "; " + pl.Boundary
 			}
-			fmt.Fprintf(&sb, "vectorized: eligible (%s%s)\n",
-				p.Vector.describeBatched(), boundary)
+			fmt.Fprintf(&sb, "vectorized: eligible (%s%s)\n", pl.describeBatched(), boundary)
 		} else {
-			fmt.Fprintf(&sb, "vectorized: row-at-a-time (%s)\n", p.Vector.Reason)
+			fmt.Fprintf(&sb, "vectorized: row-at-a-time (%s)\n", pl.Boundary)
 		}
 	}
 	return sb.String()

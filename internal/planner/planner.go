@@ -70,11 +70,9 @@ func (p *Planner) Plan(q *ast.Query) (*plan.Plan, error) {
 		}
 	}
 	pl := &plan.Plan{Root: root, Columns: cols, ReadOnly: q.IsReadOnly()}
-	// Mark the plan's morsel-parallelism eligibility once at compile time;
-	// the executor (and EXPLAIN) reuse the analysis on every run.
-	pl.Parallel = plan.AnalyzeParallelism(pl)
-	// Mark the batchable segment for vectorized execution the same way.
-	pl.Vector = plan.AnalyzeVectorization(pl)
+	// Mark the plan's batched and morsel-parallel segments once at compile
+	// time; the executor (and EXPLAIN) reuse the analysis on every run.
+	pl.Pipeline = plan.AnalyzePipeline(pl)
 	// Assign every bindable name a fixed row slot; the executor carries rows
 	// as slot-indexed slices instead of per-row maps.
 	pl.Slots = plan.ComputeSlots(pl)

@@ -8,6 +8,7 @@ package cypher
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -52,30 +53,31 @@ func TestParallelOrderByByteIdentical(t *testing.T) {
 	}
 }
 
-func TestParallelUnorderedSameBag(t *testing.T) {
-	serial, parallel := socialPair(3000, 4, 4)
-	q := "MATCH (p:Person) WHERE p.age >= 40 RETURN p.name AS n, p.age AS age"
-	rs := serial.MustRun(q, nil)
-	rp := parallel.MustRun(q, nil)
-	if rp.Parallelism() < 2 {
-		t.Fatalf("expected parallel execution for %s", q)
+// TestParallelMorselOrderByteIdentical pins the morsel-order merge for plans
+// without ORDER BY: the rows of a parallel run are the serial rows in the
+// serial order, on every run. GOMAXPROCS is raised for the test so workers
+// really interleave even when the suite runs on one processor.
+func TestParallelMorselOrderByteIdentical(t *testing.T) {
+	prev := runtime.GOMAXPROCS(4)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	queries := []string{
+		"MATCH (p:Person) WHERE p.age >= 40 RETURN p.name AS n, p.age AS age",
+		"MATCH (a:Person)-[:KNOWS]->(b) RETURN a.name AS a, b.name AS b",
 	}
-	sortLines := func(s string) string {
-		lines := strings.Split(strings.TrimRight(s, "\n"), "\n")
-		for i := 0; i < len(lines); i++ {
-			for j := i + 1; j < len(lines); j++ {
-				if lines[j] < lines[i] {
-					lines[i], lines[j] = lines[j], lines[i]
+	for _, workers := range []int{4, 8} {
+		serial, parallel := socialPair(3000, 4, workers)
+		for _, q := range queries {
+			want := serial.MustRun(q, nil).String()
+			for run := 0; run < 20; run++ {
+				rp := parallel.MustRun(q, nil)
+				if rp.Parallelism() < 2 {
+					t.Fatalf("expected parallel execution for %s", q)
+				}
+				if rp.String() != want {
+					t.Fatalf("parallelism=%d run %d: output differs from serial for %s", workers, run, q)
 				}
 			}
 		}
-		return strings.Join(lines, "\n")
-	}
-	if sortLines(rs.String()) != sortLines(rp.String()) {
-		t.Errorf("parallel unordered result is not the same bag as serial for %s", q)
-	}
-	if rs.Len() != rp.Len() {
-		t.Errorf("row counts differ: serial %d, parallel %d", rs.Len(), rp.Len())
 	}
 }
 
