@@ -267,3 +267,45 @@ func TestStatsGovernanceSection(t *testing.T) {
 		t.Errorf("/healthz missing queued: %v", hz)
 	}
 }
+
+// TestQueryResponseIsCompactJSON checks the /query wire format: the body is
+// one line of JSON plus the encoder's trailing newline, and it decodes to
+// the result's columns, rows and count.
+func TestQueryResponseIsCompactJSON(t *testing.T) {
+	g := cypher.New()
+	g.MustRun("CREATE (:P {name: 'Ada', tags: ['x', 'y']}), (:P {name: 'Bo', tags: []})", nil)
+	srv := newServer(serverConfig{graph: g, role: "single"})
+	ts := httptest.NewServer(srv.routes())
+	defer ts.Close()
+
+	resp, err := http.Post(ts.URL+"/query", "application/json", strings.NewReader(
+		`{"query": "MATCH (p:P) RETURN p.name AS name, p.tags AS tags, {n: size(p.tags)} AS m ORDER BY name"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var body bytes.Buffer
+	if _, err := body.ReadFrom(resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, body.String())
+	}
+	raw := body.String()
+	if strings.Count(raw, "\n") != 1 || !strings.HasSuffix(raw, "\n") {
+		t.Fatalf("body is not one compact line:\n%s", raw)
+	}
+	var out struct {
+		Columns []string `json:"columns"`
+		Rows    [][]any  `json:"rows"`
+		Count   int      `json:"count"`
+	}
+	if err := json.Unmarshal(body.Bytes(), &out); err != nil {
+		t.Fatal(err)
+	}
+	got, _ := json.Marshal(out)
+	want := `{"columns":["name","tags","m"],"rows":[["Ada",["x","y"],{"n":2}],["Bo",[],{"n":0}]],"count":2}`
+	if string(got) != want {
+		t.Errorf("decoded body = %s, want %s", got, want)
+	}
+}

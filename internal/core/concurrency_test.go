@@ -145,8 +145,8 @@ func TestPlanCacheInvalidationOnIndex(t *testing.T) {
 	const query = "MATCH (r:Researcher {name: 'Elin'}) RETURN r.name"
 
 	res := run(t, e, query)
-	if strings.Contains(res.Plan, "NodeIndexSeek") {
-		t.Fatalf("no index exists yet, plan should not seek:\n%s", res.Plan)
+	if strings.Contains(res.Plan(), "NodeIndexSeek") {
+		t.Fatalf("no index exists yet, plan should not seek:\n%s", res.Plan())
 	}
 	// Re-run: same epoch, so the plan must come from the cache.
 	run(t, e, query)
@@ -164,8 +164,8 @@ func TestPlanCacheInvalidationOnIndex(t *testing.T) {
 		t.Errorf("after CREATE INDEX the cached plan must be invalidated and recompiled to NodeIndexSeek:\n%s", pl)
 	}
 	res = run(t, e, query)
-	if !strings.Contains(res.Plan, "NodeIndexSeek") {
-		t.Errorf("Run should also pick up the recompiled plan:\n%s", res.Plan)
+	if !strings.Contains(res.Plan(), "NodeIndexSeek") {
+		t.Errorf("Run should also pick up the recompiled plan:\n%s", res.Plan())
 	}
 	if s := e.PlanCacheStats(); s.Invalidations == 0 {
 		t.Errorf("index creation should have invalidated the cached plan: %+v", s)

@@ -330,14 +330,20 @@ func (e *Engine) importLocked(src *graph.Graph) error {
 // counters.
 type Result struct {
 	Table *result.Table
-	// Plan is the textual form of the executed plan (EXPLAIN output).
-	Plan string
+	// plan is the executed plan, rendered by Plan only when asked: a plan
+	// is immutable once it leaves the planner, so rendering later gives the
+	// same text as rendering at execution time.
+	plan *plan.Plan
 	// ReadOnly reports whether the query contained no updating clauses.
 	ReadOnly bool
 	// Parallelism is the number of workers the execution actually used
 	// (1 for a serial run).
 	Parallelism int
 }
+
+// Plan returns the textual form of the executed plan (the EXPLAIN text
+// without its runtime parallelism line).
+func (r *Result) Plan() string { return r.plan.String() }
 
 // Columns returns the result column names.
 func (r *Result) Columns() []string { return r.Table.Columns }
@@ -588,7 +594,7 @@ func (e *Engine) runOn(g *graph.Graph, qc *exec.QueryCtx, query string, q *ast.Q
 	tbl.DetachEntities()
 	return &Result{
 		Table:       tbl,
-		Plan:        pl.String(),
+		plan:        pl,
 		ReadOnly:    pl.ReadOnly,
 		Parallelism: ex.UsedParallelism(),
 	}, nil

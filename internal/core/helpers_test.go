@@ -70,12 +70,12 @@ func expectBag(t *testing.T, res *Result, want [][]any) {
 	t.Helper()
 	got := rows(res)
 	if len(got) != len(want) {
-		t.Fatalf("row count = %d, want %d\ngot:  %v\nwant: %v\nplan:\n%s", len(got), len(want), got, want, res.Plan)
+		t.Fatalf("row count = %d, want %d\ngot:  %v\nwant: %v\nplan:\n%s", len(got), len(want), got, want, res.Plan())
 	}
 	gotTable := toComparable(t, res.Columns(), got)
 	wantTable := toComparable(t, res.Columns(), want)
 	if !result.EqualAsBags(gotTable, wantTable) {
-		t.Fatalf("result mismatch\ngot:  %v\nwant: %v\nplan:\n%s", got, want, res.Plan)
+		t.Fatalf("result mismatch\ngot:  %v\nwant: %v\nplan:\n%s", got, want, res.Plan())
 	}
 }
 

@@ -42,8 +42,8 @@ func TestPlanCacheKeysOnPinnedEpoch(t *testing.T) {
 	if got := rows(res); len(got) != 1 || got[0][0] != int64(5) {
 		t.Fatalf("mid-commit read = %v, want [[5]]", got)
 	}
-	if strings.Contains(res.Plan, "NodeIndexSeek") {
-		t.Fatalf("mid-commit read used an index its pinned version does not have:\n%s", res.Plan)
+	if strings.Contains(res.Plan(), "NodeIndexSeek") {
+		t.Fatalf("mid-commit read used an index its pinned version does not have:\n%s", res.Plan())
 	}
 
 	e.SetCommitHook(nil)
@@ -58,8 +58,8 @@ func TestPlanCacheKeysOnPinnedEpoch(t *testing.T) {
 	if got := rows(res); len(got) != 1 || got[0][0] != int64(5) {
 		t.Fatalf("post-commit read = %v, want [[5]]", got)
 	}
-	if !strings.Contains(res.Plan, "NodeIndexSeek") {
-		t.Fatalf("post-commit read served the pre-index plan (cache keyed on wrong epoch):\n%s", res.Plan)
+	if !strings.Contains(res.Plan(), "NodeIndexSeek") {
+		t.Fatalf("post-commit read served the pre-index plan (cache keyed on wrong epoch):\n%s", res.Plan())
 	}
 	if st := e.PlanCacheStats(); st.Invalidations == 0 {
 		t.Errorf("epoch advance not counted as invalidation: %+v", st)

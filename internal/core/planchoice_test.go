@@ -54,7 +54,7 @@ func TestExpandIntoProbesSmallerSide(t *testing.T) {
 	for _, c := range cases {
 		res := run(t, e, c.query)
 		if got := res.Rows()[0][0]; value.Compare(got, value.NewInt(c.want)) != 0 {
-			t.Errorf("%s = %s, want %d\nplan:\n%s", c.query, got, c.want, res.Plan)
+			t.Errorf("%s = %s, want %d\nplan:\n%s", c.query, got, c.want, res.Plan())
 		}
 	}
 }
@@ -223,8 +223,8 @@ func TestErrorCapablePredicatesKeepLegacyFilterPosition(t *testing.T) {
 	if res.Len() != 0 {
 		t.Fatalf("expected zero rows, got %d", res.Len())
 	}
-	if !strings.Contains(res.Plan, "Filter(a.x > 0 AND 1 / 0 = 1)") {
-		t.Errorf("error-capable WHERE must stay one unsplit filter:\n%s", res.Plan)
+	if !strings.Contains(res.Plan(), "Filter(a.x > 0 AND 1 / 0 = 1)") {
+		t.Errorf("error-capable WHERE must stay one unsplit filter:\n%s", res.Plan())
 	}
 	// Pattern yields no rows past the expansion: still no error.
 	run(t, e, "CREATE (:Person {age: 1})")
@@ -239,7 +239,7 @@ func TestErrorCapablePredicatesKeepLegacyFilterPosition(t *testing.T) {
 	// Error-free conjuncts still split and seek as usual.
 	e.Graph().CreateIndex("Person", "age")
 	res = run(t, e, "MATCH (a:Person) WHERE a.age > 0 AND a.age < 5 RETURN a")
-	if !strings.Contains(res.Plan, "NodeIndexRangeSeek") {
-		t.Errorf("error-free conjuncts must keep seeking:\n%s", res.Plan)
+	if !strings.Contains(res.Plan(), "NodeIndexRangeSeek") {
+		t.Errorf("error-free conjuncts must keep seeking:\n%s", res.Plan())
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"repro/internal/value"
 )
@@ -224,7 +225,7 @@ func init() {
 			return value.NewInt(int64(l.Len())), nil
 		case args[0].Kind() == value.KindString:
 			s, _ := value.AsString(args[0])
-			return value.NewInt(int64(len(s))), nil
+			return value.NewInt(int64(utf8.RuneCountInString(s))), nil
 		}
 		return nil, argError("length", "a path, list or string")
 	})
@@ -240,7 +241,7 @@ func init() {
 			return value.NewInt(int64(l.Len())), nil
 		case args[0].Kind() == value.KindString:
 			s, _ := value.AsString(args[0])
-			return value.NewInt(int64(len(s))), nil
+			return value.NewInt(int64(utf8.RuneCountInString(s))), nil
 		case args[0].Kind() == value.KindMap:
 			m, _ := value.AsMap(args[0])
 			return value.NewInt(int64(m.Len())), nil

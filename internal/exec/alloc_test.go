@@ -9,11 +9,15 @@ package exec
 
 import (
 	"fmt"
+	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/ast"
 	"repro/internal/graph"
+	"repro/internal/parser"
 	"repro/internal/plan"
+	"repro/internal/planner"
 	"repro/internal/result"
 	"repro/internal/value"
 )
@@ -235,5 +239,84 @@ func BenchmarkExpandHot(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// seekExpandBytes runs a warm one-node seek + expand + projection plan at the
+// given batch size and returns the bytes it allocates per execution,
+// measured with runtime.MemStats over many runs on one goroutine.
+func seekExpandBytes(t *testing.T, batchSize int) float64 {
+	t.Helper()
+	g := graph.New()
+	g.CreateIndex("Person", "name")
+	people := make([]*graph.Node, 50)
+	for i := range people {
+		people[i] = g.CreateNode([]string{"Person"}, map[string]value.Value{
+			"name": value.NewString(fmt.Sprintf("p%d", i)),
+			"age":  value.NewInt(int64(20 + i)),
+		})
+	}
+	for i, a := range people {
+		for k := 1; k <= 3; k++ {
+			if _, err := g.CreateRelationship(a, people[(i+k)%len(people)], "KNOWS", nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	q, err := parser.Parse("MATCH (a:Person {name: $name})-[:KNOWS]->(b) RETURN b.name, b.age")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, err := planner.New(g).Plan(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(pl.String(), "NodeIndexSeek") {
+		t.Fatalf("expected an index seek:\n%s", pl.String())
+	}
+	params := map[string]value.Value{"name": value.NewString("p7")}
+	runOnce := func() {
+		tbl, err := New(g, params, Options{BatchSize: batchSize}).Execute(pl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tbl.Len() != 3 {
+			t.Fatalf("expected 3 rows, got %d", tbl.Len())
+		}
+	}
+	for i := 0; i < 10; i++ {
+		runOnce() // warm the batch pool and the seek
+	}
+	// The smallest of three rounds: the batch pool may drop a batch at any
+	// GC, and one re-allocated 8192-row batch must not fail the comparison.
+	const runs = 200
+	best := -1.0
+	for round := 0; round < 3; round++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			runOnce()
+		}
+		runtime.ReadMemStats(&after)
+		if b := float64(after.TotalAlloc-before.TotalAlloc) / runs; best < 0 || b < best {
+			best = b
+		}
+	}
+	return best
+}
+
+// TestSeekExpandBytesIndependentOfBatchSize pins that per-execution scratch
+// is sized to the input that arrives, not to the batch capacity: a one-node
+// seek feeding an expand allocates the same bytes at BatchSize 1024 and
+// 8192.
+func TestSeekExpandBytesIndependentOfBatchSize(t *testing.T) {
+	if raceEnabled {
+		t.Skip("byte budgets do not hold under the race detector")
+	}
+	small := seekExpandBytes(t, 1024)
+	large := seekExpandBytes(t, 8192)
+	t.Logf("bytes per execution: %.0f at BatchSize 1024, %.0f at BatchSize 8192", small, large)
+	if large > small*1.10 {
+		t.Errorf("seek+expand allocates %.0f B/execution at BatchSize 8192 but %.0f B at 1024: scratch scales with batch capacity", large, small)
 	}
 }

@@ -560,18 +560,25 @@ func (ex *Executor) buildExpandKernel(o *plan.Expand, bp *batchPipeline, emit ba
 	out := getBatch(ex.tab, bp.size)
 	bp.owned = append(bp.owned, out)
 	view := result.NewSlotted(ex.tab)
-	nodesScratch := make([]*graph.Node, 0, bp.size)
-	rowsScratch := make([]int32, 0, bp.size)
+	// The gather scratch grows to the largest input batch that arrives and
+	// is reused after that: a one-node seek must not pay for a full batch.
+	var nodesScratch []*graph.Node
+	var rowsScratch []int32
 	return func(b *result.Batch) error {
 		// One input batch can fan out to arbitrarily many output batches
 		// (supernodes); check at the batch boundary like the drivers do.
 		if err := ex.qc.Err(); err != nil {
 			return err
 		}
+		sel := b.Selection()
+		if cap(nodesScratch) < len(sel) {
+			nodesScratch = make([]*graph.Node, 0, len(sel))
+			rowsScratch = make([]int32, 0, len(sel))
+		}
 		nodesScratch = nodesScratch[:0]
 		rowsScratch = rowsScratch[:0]
 		fromCol := b.Col(fromSlot)
-		for _, row := range b.Selection() {
+		for _, row := range sel {
 			v := fromCol[row]
 			if v == nil || value.IsNull(v) {
 				// An OPTIONAL MATCH (or an unbound slot, which reads as null)
@@ -739,7 +746,9 @@ func (ex *Executor) runVectorized(o *vecSource, emit emitFn) error {
 	defer putBatch(b)
 	var scratch []*graph.Node
 	if fused != nil {
-		scratch = make([]*graph.Node, 0, size)
+		// Sized to the largest chunk this node set yields, not to the
+		// batch capacity.
+		scratch = make([]*graph.Node, 0, min(size, len(o.nodes)))
 	}
 	for lo := 0; lo < len(o.nodes); lo += size {
 		// Cancellation check at the batch boundary — the vectorized

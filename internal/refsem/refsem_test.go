@@ -172,7 +172,7 @@ func TestDifferentialEngineVsReference(t *testing.T) {
 				refRes.Columns = engineRes.Table.Columns
 				if !result.EqualAsBags(engineRes.Table, refRes) {
 					t.Errorf("engine and reference semantics disagree on %q\nengine:\n%s\nreference:\n%s\nplan:\n%s",
-						q, engineRes.Table.String(), refRes.String(), engineRes.Plan)
+						q, engineRes.Table.String(), refRes.String(), engineRes.Plan())
 				}
 			}
 		})

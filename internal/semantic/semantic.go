@@ -124,6 +124,13 @@ func checkSingleQuery(sq *ast.SingleQuery) ([]string, error) {
 			if err := checkPattern(ast.Pattern{Parts: []ast.PatternPart{c.Part}}, sc, false); err != nil {
 				return nil, err
 			}
+			for _, items := range [][]ast.SetItem{c.OnCreate, c.OnMatch} {
+				for _, item := range items {
+					if err := checkFunctions(item.Value); err != nil {
+						return nil, err
+					}
+				}
+			}
 			for _, v := range c.Part.Variables() {
 				sc[v] = true
 			}
@@ -220,6 +227,9 @@ func checkProjection(p ast.Projection, sc scope) ([]string, error) {
 		cols = append(cols, name)
 	}
 	for _, s := range p.OrderBy {
+		if err := checkFunctions(s.Expr); err != nil {
+			return nil, err
+		}
 		if eval.ContainsAggregate(s.Expr) && !hasAgg {
 			return nil, errorf("aggregation in ORDER BY requires an aggregating projection")
 		}
@@ -227,6 +237,9 @@ func checkProjection(p ast.Projection, sc scope) ([]string, error) {
 	for _, e := range []ast.Expr{p.Skip, p.Limit} {
 		if e == nil {
 			continue
+		}
+		if err := checkFunctions(e); err != nil {
+			return nil, err
 		}
 		if len(eval.Variables(e)) > 0 {
 			return nil, errorf("SKIP and LIMIT cannot reference variables")
@@ -244,6 +257,9 @@ func checkProjection(p ast.Projection, sc scope) ([]string, error) {
 func checkExpr(e ast.Expr, sc scope, allowAggregate bool) error {
 	if e == nil {
 		return nil
+	}
+	if err := checkFunctions(e); err != nil {
+		return err
 	}
 	if !allowAggregate && eval.ContainsAggregate(e) {
 		return errorf("aggregating functions are not allowed in this context (%s)", e.String())
@@ -290,10 +306,53 @@ func checkExpr(e ast.Expr, sc scope, allowAggregate bool) error {
 	return nil
 }
 
+// checkFunctions rejects calls to names that are neither registered scalar
+// functions nor aggregates, including calls inside pattern predicates.
+func checkFunctions(e ast.Expr) error {
+	var err error
+	eval.WalkExpr(e, func(sub ast.Expr) {
+		if err != nil {
+			return
+		}
+		switch x := sub.(type) {
+		case *ast.FunctionCall:
+			if !eval.IsAggregate(x.Name) && !eval.HasFunction(x.Name) {
+				err = errorf("unknown function '%s'", x.Name)
+			}
+		case *ast.PatternPredicate:
+			err = checkPartFunctions(x.Pattern)
+		}
+	})
+	return err
+}
+
+// checkPartFunctions applies checkFunctions to a pattern part's property
+// maps.
+func checkPartFunctions(part ast.PatternPart) error {
+	for _, np := range part.Nodes {
+		if np.Properties != nil {
+			if err := checkFunctions(np.Properties); err != nil {
+				return err
+			}
+		}
+	}
+	for _, rp := range part.Rels {
+		if rp.Properties != nil {
+			if err := checkFunctions(rp.Properties); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 // checkPattern validates a pattern, including the stricter rules for CREATE.
 func checkPattern(p ast.Pattern, sc scope, forCreate bool) error {
 	relVars := map[string]bool{}
 	for _, part := range p.Parts {
+		if err := checkPartFunctions(part); err != nil {
+			return err
+		}
 		for _, rp := range part.Rels {
 			if rp.Variable != "" {
 				if relVars[rp.Variable] || sc[rp.Variable] {

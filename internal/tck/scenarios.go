@@ -274,6 +274,18 @@ func BuiltinScenarios() []Scenario {
 			Columns: []string{"y", "same", "d"},
 			Rows:    [][]any{{2020, true, 1}},
 		},
+		{
+			Name: "string functions count code points",
+			Query: "WITH 'héllo wörld' AS s RETURN size(s) AS size, length(s) AS len, substring(s, 1, 4) AS sub, " +
+				"left(s, 2) AS l, right(s, 3) AS r, reverse('añb') AS rev, split(s, 'ö') AS parts",
+			Columns: []string{"size", "len", "sub", "l", "r", "rev", "parts"},
+			Rows:    [][]any{{11, 11, "éllo", "hé", "rld", "bña", []any{"héllo w", "rld"}}},
+		},
+		{
+			Name:        "unknown function is rejected",
+			Query:       "UNWIND [] AS x RETURN foo(x)",
+			ExpectError: true,
+		},
 
 		// --- updates ---
 		{

@@ -18,7 +18,7 @@ func (r *Result) Columns() []string { return r.inner.Columns() }
 func (r *Result) Len() int { return r.inner.Len() }
 
 // Plan returns the textual form of the plan that produced the result.
-func (r *Result) Plan() string { return r.inner.Plan }
+func (r *Result) Plan() string { return r.inner.Plan() }
 
 // ReadOnly reports whether the query contained no updating clauses.
 func (r *Result) ReadOnly() bool { return r.inner.ReadOnly }
