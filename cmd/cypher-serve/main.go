@@ -42,6 +42,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -54,7 +55,9 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -641,6 +644,30 @@ type queryRequest struct {
 	MemoryBudget int64 `json:"memoryBudget"`
 }
 
+// paramNumbers replaces every json.Number in a decoded parameter, inside
+// lists and maps too, by an int64 when the literal is an integer that fits
+// and by a float64 otherwise, so $a keeps the type the client wrote: 44 is
+// an INTEGER and 4.5 or 1e3 a FLOAT.
+func paramNumbers(v any) any {
+	switch t := v.(type) {
+	case json.Number:
+		if i, err := strconv.ParseInt(string(t), 10, 64); err == nil {
+			return i
+		}
+		f, _ := t.Float64()
+		return f
+	case []any:
+		for i, e := range t {
+			t[i] = paramNumbers(e)
+		}
+	case map[string]any:
+		for k, e := range t {
+			t[k] = paramNumbers(e)
+		}
+	}
+	return v
+}
+
 type queryResponse struct {
 	Columns     []string `json:"columns"`
 	Rows        [][]any  `json:"rows"`
@@ -656,9 +683,14 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req queryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	dec := json.NewDecoder(r.Body)
+	dec.UseNumber()
+	if err := dec.Decode(&req); err != nil {
 		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
+	}
+	for k, v := range req.Params {
+		req.Params[k] = paramNumbers(v)
 	}
 	if req.Query == "" {
 		httpError(w, http.StatusBadRequest, "missing \"query\"")
@@ -754,7 +786,8 @@ func tightenBytes(req, cap int64) int64 {
 //
 //	307  follower rejected a write; retry the POST at the leader
 //	408  the client itself went away mid-query
-//	422  the query is invalid (parse/plan/runtime error)
+//	422  the query is invalid (parse/plan/runtime error), or its result
+//	     holds a value JSON cannot carry (NaN, Infinity); see writeJSON
 //	500  an operator panicked; the query died, the server did not
 //	503  no leader right now (election in progress, or the leader lost its
 //	     quorum lease); back off per Retry-After and retry
@@ -1076,6 +1109,10 @@ func jsonValue(v any) any {
 			"end":        t.EndNodeID(),
 			"properties": entityProps(t.PropertyKeys(), t.Property),
 		}
+	case cypher.Value:
+		// Every other kind arrives as a Go scalar, list or map (value.ToGo);
+		// what is left are the temporal values, sent as their ISO-8601 text.
+		return t.String()
 	case cypher.Path:
 		nodes := make([]any, len(t.Nodes))
 		for i, n := range t.Nodes {
@@ -1111,11 +1148,33 @@ func entityProps(keys []string, get func(string) cypher.Value) map[string]any {
 	return out
 }
 
+// jsonBuffers recycles writeJSON's response buffers; one that grew past
+// maxPooledJSON for a large result is left to the collector.
+var jsonBuffers = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxPooledJSON = 1 << 20
+
+// writeJSON encodes v in full before it writes the status, so a value JSON
+// cannot carry (a NaN or infinite float) turns into a 422 JSON error rather
+// than a 200 with an empty body. The query has run by then, so a write in
+// it has committed even though the answer is 422.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	buf := jsonBuffers.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= maxPooledJSON {
+			buf.Reset()
+			jsonBuffers.Put(buf)
+		}
+	}()
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		buf.Reset()
+		status = http.StatusUnprocessableEntity
+		_ = json.NewEncoder(buf).Encode(map[string]any{"error": fmt.Sprintf("result cannot be sent as JSON: %v", err)})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		log.Printf("encode response: %v", err)
+	if _, err := w.Write(buf.Bytes()); err != nil {
+		log.Printf("write response: %v", err)
 	}
 }
 

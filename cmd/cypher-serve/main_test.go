@@ -110,7 +110,7 @@ func TestAdmissionWaitDeadlineAnswers503(t *testing.T) {
 }
 
 func TestQueryErrorStatusMapping(t *testing.T) {
-	eval.RegisterFunction("servetest_boom", func([]value.Value) (value.Value, error) {
+	eval.RegisterFunction("servetest_boom", eval.Args(0), func([]value.Value) (value.Value, error) {
 		panic("operator bug")
 	})
 	srv := newServer(serverConfig{
@@ -307,5 +307,92 @@ func TestQueryResponseIsCompactJSON(t *testing.T) {
 	want := `{"columns":["name","tags","m"],"rows":[["Ada",["x","y"],{"n":2}],["Bo",[],{"n":0}]],"count":2}`
 	if string(got) != want {
 		t.Errorf("decoded body = %s, want %s", got, want)
+	}
+}
+
+// queryRaw posts one query to a fresh server over g and returns the status
+// and the raw body.
+func queryRaw(t *testing.T, g *cypher.Graph, body string) (int, string) {
+	t.Helper()
+	ts := httptest.NewServer(newServer(serverConfig{graph: g, role: "single"}).routes())
+	defer ts.Close()
+	resp, err := http.Post(ts.URL+"/query", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var raw bytes.Buffer
+	if _, err := raw.ReadFrom(resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, raw.String()
+}
+
+// TestUnencodableFloatAnswers422 checks that a NaN or infinite result is a
+// 422 with a JSON error body, not a 200 with an empty body.
+func TestUnencodableFloatAnswers422(t *testing.T) {
+	for _, q := range []string{"RETURN 0.0/0.0 AS x", "RETURN 1.0/0.0 AS x", "RETURN [-1.0/0.0] AS x"} {
+		status, raw := queryRaw(t, cypher.New(), fmt.Sprintf(`{"query": %q}`, q))
+		var out map[string]any
+		if err := json.Unmarshal([]byte(raw), &out); err != nil {
+			t.Fatalf("%s: body %q is not JSON: %v", q, raw, err)
+		}
+		msg, _ := out["error"].(string)
+		if status != http.StatusUnprocessableEntity || !strings.Contains(msg, "JSON") {
+			t.Errorf("%s: status %d body %s, want 422 with an error", q, status, raw)
+		}
+	}
+}
+
+// TestTemporalValuesSentAsISOText checks that dates, date-times and
+// durations reach the client as their ISO-8601 text, as bare values and as
+// properties of a returned node.
+func TestTemporalValuesSentAsISOText(t *testing.T) {
+	g := cypher.New()
+	g.MustRun("CREATE (:E {on: date('2020-01-02')})", nil)
+	status, raw := queryRaw(t, g, `{"query": "MATCH (e:E) RETURN date('2020-01-02') AS d, datetime('2020-01-02T03:04:05') AS dt, duration({days: 3, hours: 4}) AS dur, e"}`)
+	if status != http.StatusOK {
+		t.Fatalf("status %d: %s", status, raw)
+	}
+	var out struct {
+		Rows [][]any `json:"rows"`
+	}
+	if err := json.Unmarshal([]byte(raw), &out); err != nil {
+		t.Fatal(err)
+	}
+	row := out.Rows[0]
+	want := []any{"2020-01-02", "2020-01-02T03:04:05", "P3DT14400S"}
+	for i, w := range want {
+		if row[i] != w {
+			t.Errorf("column %d = %#v, want %q", i, row[i], w)
+		}
+	}
+	props := row[3].(map[string]any)["properties"].(map[string]any)
+	if props["on"] != "2020-01-02" {
+		t.Errorf("node property = %#v, want \"2020-01-02\"", props["on"])
+	}
+}
+
+// TestParamsKeepTheirType checks that a JSON integer parameter stays an
+// INTEGER and every other number becomes a FLOAT, nested values included.
+func TestParamsKeepTheirType(t *testing.T) {
+	cases := []struct{ param, want string }{
+		{`44`, `"44"`},
+		{`-7`, `"-7"`},
+		{`4.5`, `"4.5"`},
+		{`1e3`, `"1000.0"`},
+		{`44.0`, `"44.0"`},
+		{`12345678901234567890`, `"1.2345678901234567e+19"`},
+	}
+	for _, c := range cases {
+		g := cypher.New()
+		status, raw := queryRaw(t, g, `{"query": "CREATE (n {a: $a}) RETURN toString(n.a) AS s", "params": {"a": `+c.param+`}}`)
+		if status != http.StatusOK || !strings.Contains(raw, `"rows":[[`+c.want+`]]`) {
+			t.Errorf("param %s: status %d body %s, want row %s", c.param, status, raw, c.want)
+		}
+	}
+	status, raw := queryRaw(t, cypher.New(), `{"query": "RETURN [x IN $l | toString(x)] AS l, toString($m.k) AS k, toString($m.inner[0]) AS i", "params": {"l": [1, 2.5, 3e0], "m": {"k": 5, "inner": [6]}}}`)
+	if status != http.StatusOK || !strings.Contains(raw, `"rows":[[["1","2.5","3.0"],"5","6"]]`) {
+		t.Errorf("nested params: status %d body %s", status, raw)
 	}
 }

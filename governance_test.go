@@ -185,7 +185,7 @@ func TestPanicIsolatedToQuery(t *testing.T) {
 	// A poisoned scalar function models an operator bug: it panics only for
 	// the poisoned argument, so the same function proves both containment
 	// (panicking call) and recovery (clean call afterwards).
-	eval.RegisterFunction("govtest_poison", func(args []value.Value) (value.Value, error) {
+	eval.RegisterFunction("govtest_poison", eval.Args(1), func(args []value.Value) (value.Value, error) {
 		if n, ok := args[0].(value.Int); ok && int64(n) >= 10 {
 			panic(fmt.Sprintf("poisoned operator reached row %d", int64(n)))
 		}

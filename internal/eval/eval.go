@@ -559,9 +559,12 @@ func (c *Context) evalFunction(x *ast.FunctionCall, rec result.Record) (value.Va
 	if IsAggregate(x.Name) {
 		return nil, fmt.Errorf("%w: %s(...)", ErrAggregateHere, x.Name)
 	}
-	fn, ok := scalarFunctions[x.Name]
+	f, ok := scalarFunctions[x.Name]
 	if !ok {
 		return nil, fmt.Errorf("eval: unknown function %q", x.Name)
+	}
+	if err := ArityError(x.Name, f.arity, len(x.Args)); err != nil {
+		return nil, fmt.Errorf("eval: %w", err)
 	}
 	args := make([]value.Value, len(x.Args))
 	for i, a := range x.Args {
@@ -571,7 +574,7 @@ func (c *Context) evalFunction(x *ast.FunctionCall, rec result.Record) (value.Va
 		}
 		args[i] = v
 	}
-	return fn(args)
+	return f.fn(args)
 }
 
 // ContainsAggregate reports whether the expression contains an aggregating

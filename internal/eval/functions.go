@@ -10,17 +10,49 @@ import (
 	"repro/internal/value"
 )
 
-// ScalarFunc is the signature of a built-in scalar function.
+// ScalarFunc is the signature of a built-in scalar function. It is only
+// called with a number of arguments its registered Arity accepts.
 type ScalarFunc func(args []value.Value) (value.Value, error)
+
+// Arity is the number of arguments a function accepts: Min through Max, or
+// Min or more when Max is negative.
+type Arity struct{ Min, Max int }
+
+// Args is the arity of a function that takes exactly n arguments.
+func Args(n int) Arity { return Arity{Min: n, Max: n} }
+
+// Accepts reports whether a call with n arguments fits the arity.
+func (a Arity) Accepts(n int) bool { return n >= a.Min && (a.Max < 0 || n <= a.Max) }
+
+// String renders the arity for error messages: "1", "2 or 3", "at least 1".
+func (a Arity) String() string {
+	switch {
+	case a.Max < 0:
+		return fmt.Sprintf("at least %d", a.Min)
+	case a.Min == a.Max:
+		return strconv.Itoa(a.Min)
+	case a.Max == a.Min+1:
+		return fmt.Sprintf("%d or %d", a.Min, a.Max)
+	default:
+		return fmt.Sprintf("%d to %d", a.Min, a.Max)
+	}
+}
+
+// scalarFunction is one registry entry.
+type scalarFunction struct {
+	fn    ScalarFunc
+	arity Arity
+}
 
 // scalarFunctions is the registry of non-aggregating built-in functions
 // (the set F of base functions the paper parameterises the semantics with).
-var scalarFunctions = map[string]ScalarFunc{}
+var scalarFunctions = map[string]scalarFunction{}
 
-// RegisterFunction adds (or replaces) a scalar function; used by extension
-// packages such as the temporal types.
-func RegisterFunction(name string, fn ScalarFunc) {
-	scalarFunctions[strings.ToLower(name)] = fn
+// RegisterFunction adds (or replaces) a scalar function taking the given
+// number of arguments; used by extension packages such as the temporal
+// types.
+func RegisterFunction(name string, arity Arity, fn ScalarFunc) {
+	scalarFunctions[strings.ToLower(name)] = scalarFunction{fn: fn, arity: arity}
 }
 
 // HasFunction reports whether a scalar function with the given name exists.
@@ -29,33 +61,46 @@ func HasFunction(name string) bool {
 	return ok
 }
 
+// FunctionArity returns the arity of a registered scalar function or
+// aggregate (every aggregate takes one argument; count(*) is not a call).
+func FunctionArity(name string) (Arity, bool) {
+	name = strings.ToLower(name)
+	if IsAggregate(name) {
+		return Args(1), true
+	}
+	f, ok := scalarFunctions[name]
+	return f.arity, ok
+}
+
+// ArityError describes a call of name with n arguments that its arity does
+// not accept, or returns nil when it does.
+func ArityError(name string, a Arity, n int) error {
+	if a.Accepts(n) {
+		return nil
+	}
+	return fmt.Errorf("%s expects %s argument(s), got %d", name, a, n)
+}
+
 // CallFunction invokes a registered scalar function directly with
 // already-evaluated arguments; used by tools and tests.
 func CallFunction(name string, args []value.Value) (value.Value, error) {
-	fn, ok := scalarFunctions[strings.ToLower(name)]
+	f, ok := scalarFunctions[strings.ToLower(name)]
 	if !ok {
 		return nil, fmt.Errorf("eval: unknown function %q", name)
 	}
-	return fn(args)
+	if err := ArityError(name, f.arity, len(args)); err != nil {
+		return nil, fmt.Errorf("eval: %w", err)
+	}
+	return f.fn(args)
 }
 
 func argError(name string, expected string) error {
 	return fmt.Errorf("%w: %s expects %s", ErrTypeError, name, expected)
 }
 
-func arity(name string, args []value.Value, n int) error {
-	if len(args) != n {
-		return fmt.Errorf("eval: %s expects %d argument(s), got %d", name, n, len(args))
-	}
-	return nil
-}
-
 func init() {
 	// --- graph entity functions ---
-	RegisterFunction("id", func(args []value.Value) (value.Value, error) {
-		if err := arity("id", args, 1); err != nil {
-			return nil, err
-		}
+	RegisterFunction("id", Args(1), func(args []value.Value) (value.Value, error) {
 		switch {
 		case value.IsNull(args[0]):
 			return value.Null(), nil
@@ -68,10 +113,7 @@ func init() {
 		}
 		return nil, argError("id", "a node or relationship")
 	})
-	RegisterFunction("labels", func(args []value.Value) (value.Value, error) {
-		if err := arity("labels", args, 1); err != nil {
-			return nil, err
-		}
+	RegisterFunction("labels", Args(1), func(args []value.Value) (value.Value, error) {
 		if value.IsNull(args[0]) {
 			return value.Null(), nil
 		}
@@ -86,10 +128,7 @@ func init() {
 		}
 		return value.NewListOf(out), nil
 	})
-	RegisterFunction("type", func(args []value.Value) (value.Value, error) {
-		if err := arity("type", args, 1); err != nil {
-			return nil, err
-		}
+	RegisterFunction("type", Args(1), func(args []value.Value) (value.Value, error) {
 		if value.IsNull(args[0]) {
 			return value.Null(), nil
 		}
@@ -99,10 +138,7 @@ func init() {
 		}
 		return value.NewString(r.RelType()), nil
 	})
-	RegisterFunction("keys", func(args []value.Value) (value.Value, error) {
-		if err := arity("keys", args, 1); err != nil {
-			return nil, err
-		}
+	RegisterFunction("keys", Args(1), func(args []value.Value) (value.Value, error) {
 		var keys []string
 		switch {
 		case value.IsNull(args[0]):
@@ -125,10 +161,7 @@ func init() {
 		}
 		return value.NewListOf(out), nil
 	})
-	RegisterFunction("properties", func(args []value.Value) (value.Value, error) {
-		if err := arity("properties", args, 1); err != nil {
-			return nil, err
-		}
+	RegisterFunction("properties", Args(1), func(args []value.Value) (value.Value, error) {
 		entries := map[string]value.Value{}
 		switch {
 		case value.IsNull(args[0]):
@@ -150,10 +183,7 @@ func init() {
 		}
 		return value.NewMap(entries), nil
 	})
-	RegisterFunction("startnode", func(args []value.Value) (value.Value, error) {
-		if err := arity("startNode", args, 1); err != nil {
-			return nil, err
-		}
+	RegisterFunction("startnode", Args(1), func(args []value.Value) (value.Value, error) {
 		if value.IsNull(args[0]) {
 			return value.Null(), nil
 		}
@@ -163,10 +193,7 @@ func init() {
 		}
 		return relEndpoint(r, true)
 	})
-	RegisterFunction("endnode", func(args []value.Value) (value.Value, error) {
-		if err := arity("endNode", args, 1); err != nil {
-			return nil, err
-		}
+	RegisterFunction("endnode", Args(1), func(args []value.Value) (value.Value, error) {
 		if value.IsNull(args[0]) {
 			return value.Null(), nil
 		}
@@ -176,10 +203,7 @@ func init() {
 		}
 		return relEndpoint(r, false)
 	})
-	RegisterFunction("nodes", func(args []value.Value) (value.Value, error) {
-		if err := arity("nodes", args, 1); err != nil {
-			return nil, err
-		}
+	RegisterFunction("nodes", Args(1), func(args []value.Value) (value.Value, error) {
 		if value.IsNull(args[0]) {
 			return value.Null(), nil
 		}
@@ -193,10 +217,7 @@ func init() {
 		}
 		return value.NewListOf(out), nil
 	})
-	RegisterFunction("relationships", func(args []value.Value) (value.Value, error) {
-		if err := arity("relationships", args, 1); err != nil {
-			return nil, err
-		}
+	RegisterFunction("relationships", Args(1), func(args []value.Value) (value.Value, error) {
 		if value.IsNull(args[0]) {
 			return value.Null(), nil
 		}
@@ -210,10 +231,7 @@ func init() {
 		}
 		return value.NewListOf(out), nil
 	})
-	RegisterFunction("length", func(args []value.Value) (value.Value, error) {
-		if err := arity("length", args, 1); err != nil {
-			return nil, err
-		}
+	RegisterFunction("length", Args(1), func(args []value.Value) (value.Value, error) {
 		switch {
 		case value.IsNull(args[0]):
 			return value.Null(), nil
@@ -229,10 +247,7 @@ func init() {
 		}
 		return nil, argError("length", "a path, list or string")
 	})
-	RegisterFunction("size", func(args []value.Value) (value.Value, error) {
-		if err := arity("size", args, 1); err != nil {
-			return nil, err
-		}
+	RegisterFunction("size", Args(1), func(args []value.Value) (value.Value, error) {
 		switch {
 		case value.IsNull(args[0]):
 			return value.Null(), nil
@@ -248,13 +263,10 @@ func init() {
 		}
 		return nil, argError("size", "a list, string or map")
 	})
-	RegisterFunction("exists", func(args []value.Value) (value.Value, error) {
-		if err := arity("exists", args, 1); err != nil {
-			return nil, err
-		}
+	RegisterFunction("exists", Args(1), func(args []value.Value) (value.Value, error) {
 		return value.NewBool(!value.IsNull(args[0])), nil
 	})
-	RegisterFunction("coalesce", func(args []value.Value) (value.Value, error) {
+	RegisterFunction("coalesce", Arity{Min: 1, Max: -1}, func(args []value.Value) (value.Value, error) {
 		for _, a := range args {
 			if !value.IsNull(a) {
 				return a, nil
@@ -264,28 +276,25 @@ func init() {
 	})
 
 	// --- list functions ---
-	RegisterFunction("head", listFunc("head", func(l value.List) (value.Value, error) {
+	RegisterFunction("head", Args(1), listFunc("head", func(l value.List) (value.Value, error) {
 		if l.Len() == 0 {
 			return value.Null(), nil
 		}
 		return l.At(0), nil
 	}))
-	RegisterFunction("last", listFunc("last", func(l value.List) (value.Value, error) {
+	RegisterFunction("last", Args(1), listFunc("last", func(l value.List) (value.Value, error) {
 		if l.Len() == 0 {
 			return value.Null(), nil
 		}
 		return l.At(l.Len() - 1), nil
 	}))
-	RegisterFunction("tail", listFunc("tail", func(l value.List) (value.Value, error) {
+	RegisterFunction("tail", Args(1), listFunc("tail", func(l value.List) (value.Value, error) {
 		if l.Len() == 0 {
 			return value.NewList(), nil
 		}
 		return value.NewListOf(append([]value.Value(nil), l.Elements()[1:]...)), nil
 	}))
-	RegisterFunction("reverse", func(args []value.Value) (value.Value, error) {
-		if err := arity("reverse", args, 1); err != nil {
-			return nil, err
-		}
+	RegisterFunction("reverse", Args(1), func(args []value.Value) (value.Value, error) {
 		switch {
 		case value.IsNull(args[0]):
 			return value.Null(), nil
@@ -306,10 +315,7 @@ func init() {
 		}
 		return nil, argError("reverse", "a list or string")
 	})
-	RegisterFunction("range", func(args []value.Value) (value.Value, error) {
-		if len(args) != 2 && len(args) != 3 {
-			return nil, fmt.Errorf("eval: range expects 2 or 3 arguments, got %d", len(args))
-		}
+	RegisterFunction("range", Arity{Min: 2, Max: 3}, func(args []value.Value) (value.Value, error) {
 		for _, a := range args {
 			if value.IsNull(a) {
 				return value.Null(), nil
@@ -342,16 +348,13 @@ func init() {
 	})
 
 	// --- numeric functions ---
-	RegisterFunction("abs", numericFunc("abs", func(f float64) float64 { return math.Abs(f) }, func(i int64) (int64, bool) {
+	RegisterFunction("abs", Args(1), numericFunc("abs", func(f float64) float64 { return math.Abs(f) }, func(i int64) (int64, bool) {
 		if i < 0 {
 			return -i, true
 		}
 		return i, true
 	}))
-	RegisterFunction("sign", func(args []value.Value) (value.Value, error) {
-		if err := arity("sign", args, 1); err != nil {
-			return nil, err
-		}
+	RegisterFunction("sign", Args(1), func(args []value.Value) (value.Value, error) {
 		if value.IsNull(args[0]) {
 			return value.Null(), nil
 		}
@@ -368,19 +371,16 @@ func init() {
 			return value.NewInt(0), nil
 		}
 	})
-	RegisterFunction("ceil", floatFunc("ceil", math.Ceil))
-	RegisterFunction("floor", floatFunc("floor", math.Floor))
-	RegisterFunction("round", floatFunc("round", math.Round))
-	RegisterFunction("sqrt", floatFunc("sqrt", math.Sqrt))
-	RegisterFunction("exp", floatFunc("exp", math.Exp))
-	RegisterFunction("log", floatFunc("log", math.Log))
-	RegisterFunction("log10", floatFunc("log10", math.Log10))
+	RegisterFunction("ceil", Args(1), floatFunc("ceil", math.Ceil))
+	RegisterFunction("floor", Args(1), floatFunc("floor", math.Floor))
+	RegisterFunction("round", Args(1), floatFunc("round", math.Round))
+	RegisterFunction("sqrt", Args(1), floatFunc("sqrt", math.Sqrt))
+	RegisterFunction("exp", Args(1), floatFunc("exp", math.Exp))
+	RegisterFunction("log", Args(1), floatFunc("log", math.Log))
+	RegisterFunction("log10", Args(1), floatFunc("log10", math.Log10))
 
 	// --- type conversions ---
-	RegisterFunction("tointeger", func(args []value.Value) (value.Value, error) {
-		if err := arity("toInteger", args, 1); err != nil {
-			return nil, err
-		}
+	RegisterFunction("tointeger", Args(1), func(args []value.Value) (value.Value, error) {
 		switch v := args[0]; {
 		case value.IsNull(v):
 			return value.Null(), nil
@@ -401,10 +401,7 @@ func init() {
 		}
 		return nil, argError("toInteger", "a number or string")
 	})
-	RegisterFunction("tofloat", func(args []value.Value) (value.Value, error) {
-		if err := arity("toFloat", args, 1); err != nil {
-			return nil, err
-		}
+	RegisterFunction("tofloat", Args(1), func(args []value.Value) (value.Value, error) {
 		switch v := args[0]; {
 		case value.IsNull(v):
 			return value.Null(), nil
@@ -422,10 +419,7 @@ func init() {
 		}
 		return nil, argError("toFloat", "a number or string")
 	})
-	RegisterFunction("toboolean", func(args []value.Value) (value.Value, error) {
-		if err := arity("toBoolean", args, 1); err != nil {
-			return nil, err
-		}
+	RegisterFunction("toboolean", Args(1), func(args []value.Value) (value.Value, error) {
 		switch v := args[0]; {
 		case value.IsNull(v):
 			return value.Null(), nil
@@ -443,10 +437,7 @@ func init() {
 		}
 		return nil, argError("toBoolean", "a boolean or string")
 	})
-	RegisterFunction("tostring", func(args []value.Value) (value.Value, error) {
-		if err := arity("toString", args, 1); err != nil {
-			return nil, err
-		}
+	RegisterFunction("tostring", Args(1), func(args []value.Value) (value.Value, error) {
 		v := args[0]
 		if value.IsNull(v) {
 			return value.Null(), nil
@@ -458,25 +449,19 @@ func init() {
 	})
 
 	// --- string functions ---
-	RegisterFunction("toupper", stringFunc("toUpper", strings.ToUpper))
-	RegisterFunction("tolower", stringFunc("toLower", strings.ToLower))
-	RegisterFunction("trim", stringFunc("trim", strings.TrimSpace))
-	RegisterFunction("ltrim", stringFunc("lTrim", func(s string) string { return strings.TrimLeft(s, " \t\r\n") }))
-	RegisterFunction("rtrim", stringFunc("rTrim", func(s string) string { return strings.TrimRight(s, " \t\r\n") }))
-	RegisterFunction("replace", func(args []value.Value) (value.Value, error) {
-		if err := arity("replace", args, 3); err != nil {
-			return nil, err
-		}
+	RegisterFunction("toupper", Args(1), stringFunc("toUpper", strings.ToUpper))
+	RegisterFunction("tolower", Args(1), stringFunc("toLower", strings.ToLower))
+	RegisterFunction("trim", Args(1), stringFunc("trim", strings.TrimSpace))
+	RegisterFunction("ltrim", Args(1), stringFunc("lTrim", func(s string) string { return strings.TrimLeft(s, " \t\r\n") }))
+	RegisterFunction("rtrim", Args(1), stringFunc("rTrim", func(s string) string { return strings.TrimRight(s, " \t\r\n") }))
+	RegisterFunction("replace", Args(3), func(args []value.Value) (value.Value, error) {
 		s, old, new_, ok := threeStrings(args)
 		if !ok {
 			return value.Null(), nil
 		}
 		return value.NewString(strings.ReplaceAll(s, old, new_)), nil
 	})
-	RegisterFunction("split", func(args []value.Value) (value.Value, error) {
-		if err := arity("split", args, 2); err != nil {
-			return nil, err
-		}
+	RegisterFunction("split", Args(2), func(args []value.Value) (value.Value, error) {
 		if value.IsNull(args[0]) || value.IsNull(args[1]) {
 			return value.Null(), nil
 		}
@@ -492,10 +477,7 @@ func init() {
 		}
 		return value.NewListOf(out), nil
 	})
-	RegisterFunction("substring", func(args []value.Value) (value.Value, error) {
-		if len(args) != 2 && len(args) != 3 {
-			return nil, fmt.Errorf("eval: substring expects 2 or 3 arguments")
-		}
+	RegisterFunction("substring", Arity{Min: 2, Max: 3}, func(args []value.Value) (value.Value, error) {
 		if value.IsNull(args[0]) {
 			return value.Null(), nil
 		}
@@ -523,16 +505,10 @@ func init() {
 		}
 		return value.NewString(string(runes[start:end])), nil
 	})
-	RegisterFunction("left", func(args []value.Value) (value.Value, error) {
-		if err := arity("left", args, 2); err != nil {
-			return nil, err
-		}
+	RegisterFunction("left", Args(2), func(args []value.Value) (value.Value, error) {
 		return takeString(args, true)
 	})
-	RegisterFunction("right", func(args []value.Value) (value.Value, error) {
-		if err := arity("right", args, 2); err != nil {
-			return nil, err
-		}
+	RegisterFunction("right", Args(2), func(args []value.Value) (value.Value, error) {
 		return takeString(args, false)
 	})
 }
@@ -555,9 +531,6 @@ func relEndpoint(r value.Relationship, start bool) (value.Value, error) {
 
 func listFunc(name string, fn func(value.List) (value.Value, error)) ScalarFunc {
 	return func(args []value.Value) (value.Value, error) {
-		if err := arity(name, args, 1); err != nil {
-			return nil, err
-		}
 		if value.IsNull(args[0]) {
 			return value.Null(), nil
 		}
@@ -571,9 +544,6 @@ func listFunc(name string, fn func(value.List) (value.Value, error)) ScalarFunc 
 
 func floatFunc(name string, fn func(float64) float64) ScalarFunc {
 	return func(args []value.Value) (value.Value, error) {
-		if err := arity(name, args, 1); err != nil {
-			return nil, err
-		}
 		if value.IsNull(args[0]) {
 			return value.Null(), nil
 		}
@@ -587,9 +557,6 @@ func floatFunc(name string, fn func(float64) float64) ScalarFunc {
 
 func numericFunc(name string, ffn func(float64) float64, ifn func(int64) (int64, bool)) ScalarFunc {
 	return func(args []value.Value) (value.Value, error) {
-		if err := arity(name, args, 1); err != nil {
-			return nil, err
-		}
 		if value.IsNull(args[0]) {
 			return value.Null(), nil
 		}
@@ -608,9 +575,6 @@ func numericFunc(name string, ffn func(float64) float64, ifn func(int64) (int64,
 
 func stringFunc(name string, fn func(string) string) ScalarFunc {
 	return func(args []value.Value) (value.Value, error) {
-		if err := arity(name, args, 1); err != nil {
-			return nil, err
-		}
 		if value.IsNull(args[0]) {
 			return value.Null(), nil
 		}

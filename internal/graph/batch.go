@@ -15,11 +15,7 @@ import "repro/internal/value"
 func PropertyColumn(nodes []*Node, key string, out []value.Value) []value.Value {
 	out = out[:len(nodes)]
 	for i, n := range nodes {
-		if v, ok := n.props[key]; ok {
-			out[i] = v
-		} else {
-			out[i] = value.Null()
-		}
+		out[i] = n.props.Property(key)
 	}
 	return out
 }

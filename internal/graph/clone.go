@@ -6,30 +6,33 @@ import (
 	"repro/internal/value"
 )
 
-// Clone builds an independent deep copy of the graph: same entity
-// identifiers, labels, properties, relationships, declared indexes, ID
-// counters and mutation epoch, but sharing no mutable structure with the
-// source (property values are immutable and are shared). It is built from
-// the same Apply records WAL recovery uses, so indexes and statistics come
-// out identical to a recovered store.
+// Clone builds an independent copy of the graph: same entity identifiers,
+// labels, properties, relationships, declared indexes, ID counters and
+// mutation epoch, sharing no mutable structure with the source. Property
+// lists and label slices are immutable, so the copy holds the source's own
+// instead of copies. It is built from the same Apply records WAL recovery
+// uses, so indexes and statistics come out identical to a recovered store.
 //
 // Clone only reads the source, taking its usual read locks, so concurrent
 // readers of the source are fine; the caller must exclude concurrent writers
 // (the MVCC store clones under the engine's write mutex).
 func (g *Graph) Clone() *Graph {
 	c := NewNamed(g.Name())
+	g.mu.RLock()
+	for k, v := range g.names {
+		c.names[k] = v
+	}
+	g.mu.RUnlock()
 	for _, idx := range g.Indexes() {
 		c.CreateIndex(idx[0], idx[1])
 	}
 	for _, n := range g.Nodes() {
-		// Apply copies the label slice and property map, so handing it the
-		// node's live references is safe.
-		if err := c.Apply(Mutation{Kind: MutCreateNode, ID: n.id, Labels: n.labels, Props: n.props}); err != nil {
+		if err := c.Apply(Mutation{Kind: MutCreateNode, ID: n.id, Labels: n.labels, list: n.props, listSet: true}); err != nil {
 			panic(fmt.Sprintf("graph: clone of consistent graph failed: %v", err))
 		}
 	}
 	for _, r := range g.Relationships() {
-		if err := c.Apply(Mutation{Kind: MutCreateRel, ID: r.id, Start: r.start.id, End: r.end.id, Label: r.typ, Props: r.props}); err != nil {
+		if err := c.Apply(Mutation{Kind: MutCreateRel, ID: r.id, Start: r.start.id, End: r.end.id, Label: r.typ, list: r.props, listSet: true}); err != nil {
 			panic(fmt.Sprintf("graph: clone of consistent graph failed: %v", err))
 		}
 	}
@@ -49,10 +52,16 @@ func (g *Graph) SetEpoch(epoch uint64) {
 	g.epoch.Store(epoch)
 }
 
-// copyForReplay returns a Mutation safe to retain beyond the hook call: the
-// Labels and Props fields of a hook-delivered record alias live store state,
-// which later mutations may change in place.
+// copyForReplay returns a Mutation safe to retain beyond the hook call. A
+// record that carries its entity's list needs no copy: the list and label
+// slice are immutable, and Apply does not read its Props, which may be the
+// caller's map and is dropped. Other records' Labels and Props may alias
+// state that later changes in place.
 func (m Mutation) copyForReplay() Mutation {
+	if m.listSet {
+		m.Props = nil
+		return m
+	}
 	if len(m.Labels) > 0 {
 		m.Labels = append([]string(nil), m.Labels...)
 	}

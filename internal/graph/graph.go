@@ -46,17 +46,21 @@ func (d Direction) String() string {
 }
 
 // Node is a property graph node: an identifier, a set of labels lambda(n) and
-// a property map iota(n, .). Nodes also hold their incident relationships
+// a property list iota(n, .). Nodes also hold their incident relationships
 // (index-free adjacency), both as flat slices in creation order and bucketed
 // by relationship type, so a type-filtered traversal walks exactly the
 // relationships of that type without comparing type strings per edge.
 type Node struct {
-	id     int64
-	graph  *Graph
-	labels []string // sorted
-	props  map[string]value.Value
-	out    []*Relationship
-	in     []*Relationship
+	id    int64
+	graph *Graph
+	// labels is sorted and never written in place: a label change installs
+	// a new slice, so clones and detached copies may keep the old one.
+	labels []string
+	// props is immutable; a property change installs a new list (see
+	// value.Props), so clones and detached copies share it.
+	props value.Props
+	out   []*Relationship
+	in    []*Relationship
 	// outByType/inByType bucket the same relationships by type, preserving
 	// the relative order of the flat slices. Maintained by the graph's
 	// mutators; nil until the first relationship arrives.
@@ -65,13 +69,13 @@ type Node struct {
 }
 
 // Relationship is a property graph relationship: an identifier, a type
-// tau(r), source src(r), target tgt(r) and a property map iota(r, .).
+// tau(r), source src(r), target tgt(r) and a property list iota(r, .).
 type Relationship struct {
 	id    int64
 	typ   string
 	start *Node
 	end   *Node
-	props map[string]value.Value
+	props value.Props // immutable, like Node.props
 }
 
 // Graph is an in-memory property graph. All exported methods are safe for
@@ -87,6 +91,11 @@ type Graph struct {
 	labelIndex map[string]map[int64]*Node
 	typeIndex  map[string]map[int64]*Relationship
 	propIndex  map[indexKey]*propIndexData // (label, property) -> hash + ordered buckets
+
+	// names interns property keys, labels and relationship types: every
+	// entity refers to one shared copy of each string instead of its own
+	// (see intern). Written under the write lock only.
+	names map[string]string
 
 	// epoch counts mutations (data and index changes). Cached query plans
 	// record the epoch they were compiled at and are discarded when it moves,
@@ -120,7 +129,22 @@ func New() *Graph {
 		labelIndex: make(map[string]map[int64]*Node),
 		typeIndex:  make(map[string]map[int64]*Relationship),
 		propIndex:  make(map[indexKey]*propIndexData),
+		names:      make(map[string]string),
 	}
+}
+
+// intern returns the graph's canonical copy of s, adding a copy of s on
+// first sight (a copy, so an interned name never pins a larger buffer such
+// as a query text or a decoded WAL payload). Callers hold the write lock.
+// The table only grows: it holds one entry per distinct key, label and
+// type ever written, the same vocabulary a schema would.
+func (g *Graph) intern(s string) string {
+	if c, ok := g.names[s]; ok {
+		return c
+	}
+	s = strings.Clone(s)
+	g.names[s] = s
+	return s
 }
 
 // NewNamed creates an empty property graph with a name (used by the multiple
@@ -163,33 +187,23 @@ func (n *Node) HasLabel(label string) bool {
 	return i < len(n.labels) && n.labels[i] == label
 }
 
+// SharedLabels returns the node's sorted label slice itself, not a copy.
+// The slice is never written in place, so a holder may keep it; it must
+// not modify it. See value.LabelSharer.
+func (n *Node) SharedLabels() []string { return n.labels }
+
 // Property returns the property value for key, or null if absent.
-func (n *Node) Property(key string) value.Value {
-	if v, ok := n.props[key]; ok {
-		return v
-	}
-	return value.Null()
-}
+func (n *Node) Property(key string) value.Value { return n.props.Property(key) }
 
 // PropertyKeys returns the node's property keys, sorted.
-func (n *Node) PropertyKeys() []string {
-	keys := make([]string, 0, len(n.props))
-	for k := range n.props {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
+func (n *Node) PropertyKeys() []string { return n.props.Keys() }
 
-// Properties returns a copy of the node's property map; used by the
+// PropList returns the node's immutable property list; see value.PropLister.
+func (n *Node) PropList() value.Props { return n.props }
+
+// Properties returns a copy of the node's properties as a map; used by the
 // persistence and import paths, which need the whole map at once.
-func (n *Node) Properties() map[string]value.Value {
-	out := make(map[string]value.Value, len(n.props))
-	for k, v := range n.props {
-		out[k] = v
-	}
-	return out
-}
+func (n *Node) Properties() map[string]value.Value { return n.props.Map() }
 
 // Degree returns the number of incident relationships in the given direction,
 // optionally restricted to a set of relationship types (empty means any).
@@ -379,32 +393,18 @@ func (r *Relationship) Other(n *Node) *Node {
 }
 
 // Property returns the property value for key, or null if absent.
-func (r *Relationship) Property(key string) value.Value {
-	if v, ok := r.props[key]; ok {
-		return v
-	}
-	return value.Null()
-}
+func (r *Relationship) Property(key string) value.Value { return r.props.Property(key) }
 
 // PropertyKeys returns the relationship's property keys, sorted.
-func (r *Relationship) PropertyKeys() []string {
-	keys := make([]string, 0, len(r.props))
-	for k := range r.props {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
+func (r *Relationship) PropertyKeys() []string { return r.props.Keys() }
 
-// Properties returns a copy of the relationship's property map; used by the
-// persistence and import paths, which need the whole map at once.
-func (r *Relationship) Properties() map[string]value.Value {
-	out := make(map[string]value.Value, len(r.props))
-	for k, v := range r.props {
-		out[k] = v
-	}
-	return out
-}
+// PropList returns the relationship's immutable property list; see
+// value.PropLister.
+func (r *Relationship) PropList() value.Props { return r.props }
+
+// Properties returns a copy of the relationship's properties as a map; used
+// by the persistence and import paths, which need the whole map at once.
+func (r *Relationship) Properties() map[string]value.Value { return r.props.Map() }
 
 // --- Graph read access ---
 

@@ -123,7 +123,7 @@ func (g *Graph) createIndexLocked(label, property string) bool {
 	}
 	idx := newPropIndexData()
 	for _, n := range g.labelIndex[label] {
-		if v, ok := n.props[property]; ok {
+		if v, ok := n.props.Get(property); ok {
 			idx.add(n, v)
 		}
 	}
@@ -191,7 +191,7 @@ func (g *Graph) NodesByLabelProperty(label, property string, v value.Value) []*N
 	}
 	var out []*Node
 	for _, n := range g.labelIndex[label] {
-		if pv, ok := n.props[property]; ok && value.Equals(pv, v) == value.TrueT {
+		if pv, ok := n.props.Get(property); ok && value.Equals(pv, v) == value.TrueT {
 			out = append(out, n)
 		}
 	}
@@ -206,7 +206,7 @@ func (g *Graph) NodesByLabelProperty(label, property string, v value.Value) []*N
 // selective as the filter predicate it replaced.
 func appendEqualNodes(out []*Node, b *indexBucket, property string, v value.Value) []*Node {
 	for _, n := range b.nodes {
-		if pv, ok := n.props[property]; ok && value.Equals(pv, v) == value.TrueT {
+		if pv, ok := n.props.Get(property); ok && value.Equals(pv, v) == value.TrueT {
 			out = append(out, n)
 		}
 	}
@@ -239,7 +239,7 @@ func (g *Graph) NodesByLabelPropertyIn(label, property string, vs []value.Value)
 		return sortByID(out)
 	}
 	for _, n := range g.labelIndex[label] {
-		pv, ok := n.props[property]
+		pv, ok := n.props.Get(property)
 		if !ok {
 			continue
 		}
@@ -283,7 +283,7 @@ func (g *Graph) NodesByLabelPropertyRange(label, property string, lo value.Value
 		return sortByID(out)
 	}
 	for _, n := range g.labelIndex[label] {
-		if pv, ok := n.props[property]; ok && rangeMatch(pv, lo, loInc, hi, hiInc) == value.TrueT {
+		if pv, ok := n.props.Get(property); ok && rangeMatch(pv, lo, loInc, hi, hiInc) == value.TrueT {
 			out = append(out, n)
 		}
 	}
@@ -348,7 +348,7 @@ func (g *Graph) NodesByLabelPropertyPrefix(label, property, prefix string) []*No
 		return sortByID(out)
 	}
 	for _, n := range g.labelIndex[label] {
-		pv, ok := n.props[property]
+		pv, ok := n.props.Get(property)
 		if !ok {
 			continue
 		}
@@ -366,7 +366,7 @@ func (g *Graph) addToPropIndexes(n *Node) {
 		if !n.HasLabel(key.label) {
 			continue
 		}
-		if v, ok := n.props[key.property]; ok {
+		if v, ok := n.props.Get(key.property); ok {
 			idx.add(n, v)
 		}
 	}
@@ -379,7 +379,7 @@ func (g *Graph) removeFromPropIndexes(n *Node) {
 		if !n.HasLabel(key.label) {
 			continue
 		}
-		if v, ok := n.props[key.property]; ok {
+		if v, ok := n.props.Get(key.property); ok {
 			idx.remove(n, v)
 		}
 	}

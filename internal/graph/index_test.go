@@ -321,7 +321,7 @@ func TestOrderedIndexMaintenance(t *testing.T) {
 func g2Filter(g *Graph, bound int64) []*Node {
 	var out []*Node
 	for _, n := range g.NodesByLabel("N") {
-		if pv, ok := n.props["v"]; ok && value.Greater(pv, value.NewInt(bound)) == value.TrueT {
+		if pv, ok := n.props.Get("v"); ok && value.Greater(pv, value.NewInt(bound)) == value.TrueT {
 			out = append(out, n)
 		}
 	}

@@ -3,6 +3,7 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/value"
@@ -22,31 +23,21 @@ func (g *Graph) CreateNode(labels []string, props map[string]value.Value) *Node 
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.nextNodeID++
-	n := &Node{
-		id:    g.nextNodeID,
-		graph: g,
-		props: make(map[string]value.Value, len(props)),
-	}
-	seen := make(map[string]bool, len(labels))
+	n := g.insertNode(g.nextNodeID, g.internLabels(labels), value.NewProps(props, g.intern))
+	g.emit(Mutation{Kind: MutCreateNode, ID: n.id, Labels: n.labels, Props: journalProps(props, n.props), list: n.props, listSet: true})
+	g.bumpEpoch()
+	return n
+}
+
+// insertNode adds a node with already interned, sorted labels and a built
+// property list, indexing it. Callers hold the write lock.
+func (g *Graph) insertNode(id int64, labels []string, props value.Props) *Node {
+	n := &Node{id: id, graph: g, labels: labels, props: props}
+	g.nodes[id] = n
 	for _, l := range labels {
-		if !seen[l] {
-			seen[l] = true
-			n.labels = append(n.labels, l)
-		}
-	}
-	sort.Strings(n.labels)
-	for k, v := range props {
-		if !value.IsNull(v) {
-			n.props[k] = v
-		}
-	}
-	g.nodes[n.id] = n
-	for _, l := range n.labels {
 		g.addToLabelIndex(l, n)
 	}
 	g.addToPropIndexes(n)
-	g.emit(Mutation{Kind: MutCreateNode, ID: n.id, Labels: n.labels, Props: n.props})
-	g.bumpEpoch()
 	return n
 }
 
@@ -62,19 +53,18 @@ func (g *Graph) CreateRelationship(start, end *Node, typ string, props map[strin
 		return nil, fmt.Errorf("%w: end node %d", ErrNotFound, end.id)
 	}
 	g.nextRelID++
-	r := &Relationship{
-		id:    g.nextRelID,
-		typ:   typ,
-		start: start,
-		end:   end,
-		props: make(map[string]value.Value, len(props)),
-	}
-	for k, v := range props {
-		if !value.IsNull(v) {
-			r.props[k] = v
-		}
-	}
-	g.rels[r.id] = r
+	r := g.insertRel(g.nextRelID, g.intern(typ), start, end, value.NewProps(props, g.intern))
+	g.emit(Mutation{Kind: MutCreateRel, ID: r.id, Start: start.id, End: end.id, Label: r.typ, Props: journalProps(props, r.props), list: r.props, listSet: true})
+	g.bumpEpoch()
+	return r, nil
+}
+
+// insertRel adds a relationship with an already interned type and a built
+// property list to the adjacency of both endpoints and the type index.
+// Callers hold the write lock.
+func (g *Graph) insertRel(id int64, typ string, start, end *Node, props value.Props) *Relationship {
+	r := &Relationship{id: id, typ: typ, start: start, end: end, props: props}
+	g.rels[id] = r
 	start.out = append(start.out, r)
 	end.in = append(end.in, r)
 	if start.outByType == nil {
@@ -88,10 +78,49 @@ func (g *Graph) CreateRelationship(start, end *Node, typ string, props map[strin
 	if g.typeIndex[typ] == nil {
 		g.typeIndex[typ] = make(map[int64]*Relationship)
 	}
-	g.typeIndex[typ][r.id] = r
-	g.emit(Mutation{Kind: MutCreateRel, ID: r.id, Start: start.id, End: end.id, Label: typ, Props: r.props})
-	g.bumpEpoch()
-	return r, nil
+	g.typeIndex[typ][id] = r
+	return r
+}
+
+// journalProps returns the map the mutation hook receives for a list built
+// from in: in itself when the list holds all of its entries (no null was
+// dropped), so the common case builds no second map.
+func journalProps(in map[string]value.Value, p value.Props) map[string]value.Value {
+	if len(in) == len(p) {
+		return in
+	}
+	return p.Map()
+}
+
+// internLabels returns the distinct labels, interned, in a new sorted slice.
+// Callers hold the write lock.
+func (g *Graph) internLabels(labels []string) []string {
+	if len(labels) == 0 {
+		return nil
+	}
+	out := make([]string, len(labels))
+	for i, l := range labels {
+		out[i] = g.intern(l)
+	}
+	sort.Strings(out)
+	return slices.Compact(out)
+}
+
+// withProp returns p with key set to v, or without key when v is null,
+// interning a newly stored key. Callers hold the write lock.
+func (g *Graph) withProp(p value.Props, key string, v value.Value) value.Props {
+	if value.IsNull(v) {
+		return p.Without(key)
+	}
+	return p.With(g.intern(key), v)
+}
+
+// setNodeProps installs a new property list on n, keeping the property
+// indexes in step. Callers hold the write lock.
+func (g *Graph) setNodeProps(n *Node, props value.Props) {
+	g.removeFromPropIndexes(n)
+	n.props = props
+	g.addToPropIndexes(n)
 }
 
 // DeleteRelationship removes the relationship from the graph.
@@ -196,14 +225,8 @@ func (g *Graph) SetNodeProperty(n *Node, key string, v value.Value) error {
 	if _, ok := g.nodes[n.id]; !ok {
 		return fmt.Errorf("%w: node %d", ErrNotFound, n.id)
 	}
-	g.removeFromPropIndexes(n)
-	if value.IsNull(v) {
-		delete(n.props, key)
-	} else {
-		n.props[key] = v
-	}
-	g.addToPropIndexes(n)
-	g.emit(Mutation{Kind: MutSetNodeProp, ID: n.id, Key: key, Value: v})
+	g.setNodeProps(n, g.withProp(n.props, key, v))
+	g.emit(Mutation{Kind: MutSetNodeProp, ID: n.id, Key: key, Value: v, list: n.props, listSet: true})
 	g.bumpEpoch()
 	return nil
 }
@@ -216,12 +239,8 @@ func (g *Graph) SetRelationshipProperty(r *Relationship, key string, v value.Val
 	if _, ok := g.rels[r.id]; !ok {
 		return fmt.Errorf("%w: relationship %d", ErrNotFound, r.id)
 	}
-	if value.IsNull(v) {
-		delete(r.props, key)
-	} else {
-		r.props[key] = v
-	}
-	g.emit(Mutation{Kind: MutSetRelProp, ID: r.id, Key: key, Value: v})
+	r.props = g.withProp(r.props, key, v)
+	g.emit(Mutation{Kind: MutSetRelProp, ID: r.id, Key: key, Value: v, list: r.props, listSet: true})
 	g.bumpEpoch()
 	return nil
 }
@@ -233,15 +252,8 @@ func (g *Graph) ReplaceNodeProperties(n *Node, props map[string]value.Value) err
 	if _, ok := g.nodes[n.id]; !ok {
 		return fmt.Errorf("%w: node %d", ErrNotFound, n.id)
 	}
-	g.removeFromPropIndexes(n)
-	n.props = make(map[string]value.Value, len(props))
-	for k, v := range props {
-		if !value.IsNull(v) {
-			n.props[k] = v
-		}
-	}
-	g.addToPropIndexes(n)
-	g.emit(Mutation{Kind: MutReplaceNodeProps, ID: n.id, Props: n.props})
+	g.setNodeProps(n, value.NewProps(props, g.intern))
+	g.emit(Mutation{Kind: MutReplaceNodeProps, ID: n.id, Props: journalProps(props, n.props), list: n.props, listSet: true})
 	g.bumpEpoch()
 	return nil
 }
@@ -253,13 +265,8 @@ func (g *Graph) ReplaceRelationshipProperties(r *Relationship, props map[string]
 	if _, ok := g.rels[r.id]; !ok {
 		return fmt.Errorf("%w: relationship %d", ErrNotFound, r.id)
 	}
-	r.props = make(map[string]value.Value, len(props))
-	for k, v := range props {
-		if !value.IsNull(v) {
-			r.props[k] = v
-		}
-	}
-	g.emit(Mutation{Kind: MutReplaceRelProps, ID: r.id, Props: r.props})
+	r.props = value.NewProps(props, g.intern)
+	g.emit(Mutation{Kind: MutReplaceRelProps, ID: r.id, Props: journalProps(props, r.props), list: r.props, listSet: true})
 	g.bumpEpoch()
 	return nil
 }
@@ -274,13 +281,24 @@ func (g *Graph) AddNodeLabel(n *Node, label string) error {
 	if n.HasLabel(label) {
 		return nil
 	}
-	n.labels = append(n.labels, label)
-	sort.Strings(n.labels)
-	g.addToLabelIndex(label, n)
-	g.addToPropIndexes(n)
+	g.addLabelLocked(n, label)
 	g.emit(Mutation{Kind: MutAddLabel, ID: n.id, Label: label})
 	g.bumpEpoch()
 	return nil
+}
+
+// addLabelLocked gives n a new label slice with label added. The old slice
+// is left as it was: clones and detached copies may still hold it.
+func (g *Graph) addLabelLocked(n *Node, label string) {
+	label = g.intern(label)
+	i := sort.SearchStrings(n.labels, label)
+	labels := make([]string, len(n.labels)+1)
+	copy(labels, n.labels[:i])
+	labels[i] = label
+	copy(labels[i+1:], n.labels[i:])
+	n.labels = labels
+	g.addToLabelIndex(label, n)
+	g.addToPropIndexes(n)
 }
 
 // RemoveNodeLabel removes a label from a node.
@@ -293,14 +311,20 @@ func (g *Graph) RemoveNodeLabel(n *Node, label string) error {
 	if !n.HasLabel(label) {
 		return nil
 	}
-	g.removeFromPropIndexes(n)
-	i := sort.SearchStrings(n.labels, label)
-	n.labels = append(n.labels[:i], n.labels[i+1:]...)
-	g.removeFromLabelIndex(label, n)
-	g.addToPropIndexes(n)
+	g.removeLabelLocked(n, label)
 	g.emit(Mutation{Kind: MutRemoveLabel, ID: n.id, Label: label})
 	g.bumpEpoch()
 	return nil
+}
+
+// removeLabelLocked gives n a new label slice without label, which n
+// carries. Like addLabelLocked it never writes the old slice.
+func (g *Graph) removeLabelLocked(n *Node, label string) {
+	g.removeFromPropIndexes(n)
+	i := sort.SearchStrings(n.labels, label)
+	n.labels = slices.Delete(slices.Clone(n.labels), i, i+1)
+	g.removeFromLabelIndex(label, n)
+	g.addToPropIndexes(n)
 }
 
 func (g *Graph) addToLabelIndex(label string, n *Node) {

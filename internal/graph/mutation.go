@@ -2,7 +2,6 @@ package graph
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/value"
 )
@@ -90,6 +89,15 @@ type Mutation struct {
 	Value      value.Value
 	Labels     []string
 	Props      map[string]value.Value
+
+	// list, when listSet, is the entity's property list right after the
+	// mutation, attached by the graph that emitted the record (the create,
+	// set and replace kinds) and by Clone. Apply adopts it instead of
+	// building a list from Props or Key and Value: lists are immutable, so
+	// the MVCC replica and the primary share one. Records decoded from disk
+	// or the network never carry one.
+	list    value.Props
+	listSet bool
 }
 
 // MutationHook observes committed-to-memory mutations. It is invoked
@@ -97,8 +105,9 @@ type Mutation struct {
 // in-memory change has been applied — so the sequence of hook calls replayed
 // through Apply reproduces the store exactly. Hooks must be fast and must
 // not call back into the graph. The Labels and Props fields reference live
-// store state; hooks that retain a Mutation beyond the call must copy them
-// (the storage journal encodes them to bytes immediately instead).
+// store state or the caller's map; hooks that retain a Mutation beyond the
+// call must copy them (the storage journal encodes them to bytes
+// immediately instead).
 type MutationHook func(m Mutation)
 
 // SetMutationHook installs the (single) mutation hook; nil removes it. It is
@@ -150,22 +159,13 @@ func (g *Graph) Apply(m Mutation) error {
 		if _, ok := g.nodes[m.ID]; ok {
 			return fmt.Errorf("graph: apply %s: node %d already exists", m.Kind, m.ID)
 		}
-		n := &Node{
-			id:     m.ID,
-			graph:  g,
-			labels: append([]string(nil), m.Labels...),
-			props:  make(map[string]value.Value, len(m.Props)),
+		labels := m.Labels
+		if !m.listSet {
+			labels = g.internLabels(labels)
 		}
-		for k, v := range m.Props {
-			if !value.IsNull(v) {
-				n.props[k] = v
-			}
-		}
-		g.nodes[n.id] = n
-		for _, l := range n.labels {
-			g.addToLabelIndex(l, n)
-		}
-		g.addToPropIndexes(n)
+		// A record that carries a list was emitted by a graph, and its
+		// labels are that node's own sorted slice, never written in place.
+		g.insertNode(m.ID, labels, g.listOf(m))
 		if m.ID > g.nextNodeID {
 			g.nextNodeID = m.ID
 		}
@@ -194,33 +194,7 @@ func (g *Graph) Apply(m Mutation) error {
 		if !ok {
 			return fmt.Errorf("graph: apply %s: end node %d not found", m.Kind, m.End)
 		}
-		r := &Relationship{
-			id:    m.ID,
-			typ:   m.Label,
-			start: start,
-			end:   end,
-			props: make(map[string]value.Value, len(m.Props)),
-		}
-		for k, v := range m.Props {
-			if !value.IsNull(v) {
-				r.props[k] = v
-			}
-		}
-		g.rels[r.id] = r
-		start.out = append(start.out, r)
-		end.in = append(end.in, r)
-		if start.outByType == nil {
-			start.outByType = make(map[string][]*Relationship)
-		}
-		start.outByType[r.typ] = append(start.outByType[r.typ], r)
-		if end.inByType == nil {
-			end.inByType = make(map[string][]*Relationship)
-		}
-		end.inByType[r.typ] = append(end.inByType[r.typ], r)
-		if g.typeIndex[r.typ] == nil {
-			g.typeIndex[r.typ] = make(map[int64]*Relationship)
-		}
-		g.typeIndex[r.typ][r.id] = r
+		g.insertRel(m.ID, g.intern(m.Label), start, end, g.listOf(m))
 		if m.ID > g.nextRelID {
 			g.nextRelID = m.ID
 		}
@@ -238,51 +212,25 @@ func (g *Graph) Apply(m Mutation) error {
 		r.end.in = removeRel(r.end.in, r)
 		removeRelBucket(r.start.outByType, r)
 		removeRelBucket(r.end.inByType, r)
-	case MutSetNodeProp:
+	case MutSetNodeProp, MutReplaceNodeProps:
 		n, ok := g.nodes[m.ID]
 		if !ok {
 			return fmt.Errorf("graph: apply %s: node %d not found", m.Kind, m.ID)
 		}
-		g.removeFromPropIndexes(n)
-		if value.IsNull(m.Value) {
-			delete(n.props, m.Key)
+		if m.Kind == MutSetNodeProp && !m.listSet {
+			g.setNodeProps(n, g.withProp(n.props, m.Key, m.Value))
 		} else {
-			n.props[m.Key] = m.Value
+			g.setNodeProps(n, g.listOf(m))
 		}
-		g.addToPropIndexes(n)
-	case MutSetRelProp:
+	case MutSetRelProp, MutReplaceRelProps:
 		r, ok := g.rels[m.ID]
 		if !ok {
 			return fmt.Errorf("graph: apply %s: relationship %d not found", m.Kind, m.ID)
 		}
-		if value.IsNull(m.Value) {
-			delete(r.props, m.Key)
+		if m.Kind == MutSetRelProp && !m.listSet {
+			r.props = g.withProp(r.props, m.Key, m.Value)
 		} else {
-			r.props[m.Key] = m.Value
-		}
-	case MutReplaceNodeProps:
-		n, ok := g.nodes[m.ID]
-		if !ok {
-			return fmt.Errorf("graph: apply %s: node %d not found", m.Kind, m.ID)
-		}
-		g.removeFromPropIndexes(n)
-		n.props = make(map[string]value.Value, len(m.Props))
-		for k, v := range m.Props {
-			if !value.IsNull(v) {
-				n.props[k] = v
-			}
-		}
-		g.addToPropIndexes(n)
-	case MutReplaceRelProps:
-		r, ok := g.rels[m.ID]
-		if !ok {
-			return fmt.Errorf("graph: apply %s: relationship %d not found", m.Kind, m.ID)
-		}
-		r.props = make(map[string]value.Value, len(m.Props))
-		for k, v := range m.Props {
-			if !value.IsNull(v) {
-				r.props[k] = v
-			}
+			r.props = g.listOf(m)
 		}
 	case MutAddLabel:
 		n, ok := g.nodes[m.ID]
@@ -290,10 +238,7 @@ func (g *Graph) Apply(m Mutation) error {
 			return fmt.Errorf("graph: apply %s: node %d not found", m.Kind, m.ID)
 		}
 		if !n.HasLabel(m.Label) {
-			n.labels = append(n.labels, m.Label)
-			sort.Strings(n.labels)
-			g.addToLabelIndex(m.Label, n)
-			g.addToPropIndexes(n)
+			g.addLabelLocked(n, m.Label)
 		}
 	case MutRemoveLabel:
 		n, ok := g.nodes[m.ID]
@@ -301,11 +246,7 @@ func (g *Graph) Apply(m Mutation) error {
 			return fmt.Errorf("graph: apply %s: node %d not found", m.Kind, m.ID)
 		}
 		if n.HasLabel(m.Label) {
-			g.removeFromPropIndexes(n)
-			i := sort.SearchStrings(n.labels, m.Label)
-			n.labels = append(n.labels[:i], n.labels[i+1:]...)
-			g.removeFromLabelIndex(m.Label, n)
-			g.addToPropIndexes(n)
+			g.removeLabelLocked(n, m.Label)
 		}
 	case MutCreateIndex:
 		g.createIndexLocked(m.Label, m.Key)
@@ -316,4 +257,14 @@ func (g *Graph) Apply(m Mutation) error {
 	}
 	g.bumpEpoch()
 	return nil
+}
+
+// listOf returns the property list a create or replace record installs: the
+// attached list when the record carries one, else one built from Props.
+// Callers hold the write lock.
+func (g *Graph) listOf(m Mutation) value.Props {
+	if m.listSet {
+		return m.list
+	}
+	return value.NewProps(m.Props, g.intern)
 }

@@ -307,7 +307,8 @@ func checkExpr(e ast.Expr, sc scope, allowAggregate bool) error {
 }
 
 // checkFunctions rejects calls to names that are neither registered scalar
-// functions nor aggregates, including calls inside pattern predicates.
+// functions nor aggregates, and calls with a number of arguments the
+// function does not take, including calls inside pattern predicates.
 func checkFunctions(e ast.Expr) error {
 	var err error
 	eval.WalkExpr(e, func(sub ast.Expr) {
@@ -316,8 +317,11 @@ func checkFunctions(e ast.Expr) error {
 		}
 		switch x := sub.(type) {
 		case *ast.FunctionCall:
-			if !eval.IsAggregate(x.Name) && !eval.HasFunction(x.Name) {
+			arity, ok := eval.FunctionArity(x.Name)
+			if !ok {
 				err = errorf("unknown function '%s'", x.Name)
+			} else if aerr := eval.ArityError(x.Name, arity, len(x.Args)); aerr != nil {
+				err = errorf("%v", aerr)
 			}
 		case *ast.PatternPredicate:
 			err = checkPartFunctions(x.Pattern)

@@ -106,6 +106,29 @@ func (d *decoder) i64() (int64, error) {
 	return int64(v), err
 }
 
+// count reads an element count and rejects one the remaining bytes cannot
+// hold, given that every element takes at least minSize bytes. A payload is
+// checksummed, not trusted: a count straight from it must never size an
+// allocation, or four bytes could ask for gigabytes.
+func (d *decoder) count(minSize int) (int, error) {
+	n, err := d.u32()
+	if err != nil {
+		return 0, err
+	}
+	if uint64(n)*uint64(minSize) > uint64(d.remaining()) {
+		return 0, fmt.Errorf("%w: count %d exceeds the %d bytes left", ErrCorrupt, n, d.remaining())
+	}
+	return int(n), nil
+}
+
+// Smallest encodings of the counted elements, for decoder.count.
+const (
+	minValueSize    = 1     // a tag
+	minStringSize   = 4     // a length
+	minEntrySize    = 4 + 1 // a key and a value
+	minMutationSize = 1 + 8 // a kind and an ID, or a kind and two strings
+)
+
 func (d *decoder) str() (string, error) {
 	n, err := d.u32()
 	if err != nil {
@@ -212,12 +235,12 @@ func (d *decoder) decodeValue() (value.Value, error) {
 		s, err := d.str()
 		return value.NewString(s), err
 	case tagList:
-		n, err := d.u32()
+		n, err := d.count(minValueSize)
 		if err != nil {
 			return nil, err
 		}
 		elems := make([]value.Value, 0, n)
-		for i := uint32(0); i < n; i++ {
+		for i := 0; i < n; i++ {
 			el, err := d.decodeValue()
 			if err != nil {
 				return nil, err
@@ -226,12 +249,12 @@ func (d *decoder) decodeValue() (value.Value, error) {
 		}
 		return value.NewListOf(elems), nil
 	case tagMap:
-		n, err := d.u32()
+		n, err := d.count(minEntrySize)
 		if err != nil {
 			return nil, err
 		}
 		entries := make(map[string]value.Value, n)
-		for i := uint32(0); i < n; i++ {
+		for i := 0; i < n; i++ {
 			k, err := d.str()
 			if err != nil {
 				return nil, err
@@ -319,12 +342,12 @@ func (e *encoder) encodeProps(props map[string]value.Value) error {
 }
 
 func (d *decoder) decodeProps() (map[string]value.Value, error) {
-	n, err := d.u32()
+	n, err := d.count(minEntrySize)
 	if err != nil {
 		return nil, err
 	}
 	props := make(map[string]value.Value, n)
-	for i := uint32(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		k, err := d.str()
 		if err != nil {
 			return nil, err
@@ -387,12 +410,12 @@ func (d *decoder) decodeMutation() (graph.Mutation, error) {
 		if m.ID, err = d.i64(); err != nil {
 			return m, err
 		}
-		n, err := d.u32()
+		n, err := d.count(minStringSize)
 		if err != nil {
 			return m, err
 		}
 		m.Labels = make([]string, 0, n)
-		for i := uint32(0); i < n; i++ {
+		for i := 0; i < n; i++ {
 			l, err := d.str()
 			if err != nil {
 				return m, err

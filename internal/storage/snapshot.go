@@ -209,6 +209,12 @@ func readSnapshot(path string) (snapshotImage, error) {
 	if d.remaining() != 0 {
 		return img, fmt.Errorf("%w: %d trailing bytes in snapshot header", ErrCorrupt, d.remaining())
 	}
+	// The record count sizes an allocation, so it must fit the file.
+	if fi, err := f.Stat(); err != nil {
+		return img, fmt.Errorf("storage: stat snapshot: %w", err)
+	} else if int64(total)*minMutationSize > fi.Size() {
+		return img, fmt.Errorf("%w: snapshot header promises %d records in a %d-byte file", ErrCorrupt, total, fi.Size())
+	}
 	img.Mutations = make([]graph.Mutation, 0, total)
 	for {
 		payload, err := readFrame(br)

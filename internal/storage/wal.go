@@ -252,12 +252,12 @@ func encodeBatch(muts []graph.Mutation) ([]byte, error) {
 
 func decodeBatch(payload []byte) ([]graph.Mutation, error) {
 	d := decoder{buf: payload}
-	n, err := d.u32()
+	n, err := d.count(minMutationSize)
 	if err != nil {
 		return nil, err
 	}
 	muts := make([]graph.Mutation, 0, n)
-	for i := uint32(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		m, err := d.decodeMutation()
 		if err != nil {
 			return nil, err

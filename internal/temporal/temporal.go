@@ -204,10 +204,7 @@ func AddToDate(d Date, dur Duration) Date {
 // into the expression function registry; it is called automatically on
 // package import.
 func RegisterFunctions() {
-	eval.RegisterFunction("date", func(args []value.Value) (value.Value, error) {
-		if len(args) == 0 {
-			return nil, fmt.Errorf("temporal: date() requires a string argument in this implementation")
-		}
+	eval.RegisterFunction("date", eval.Args(1), func(args []value.Value) (value.Value, error) {
 		if value.IsNull(args[0]) {
 			return value.Null(), nil
 		}
@@ -221,10 +218,7 @@ func RegisterFunctions() {
 		}
 		return d, nil
 	})
-	eval.RegisterFunction("datetime", func(args []value.Value) (value.Value, error) {
-		if len(args) == 0 {
-			return nil, fmt.Errorf("temporal: datetime() requires a string argument in this implementation")
-		}
+	eval.RegisterFunction("datetime", eval.Args(1), func(args []value.Value) (value.Value, error) {
 		if value.IsNull(args[0]) {
 			return value.Null(), nil
 		}
@@ -238,10 +232,7 @@ func RegisterFunctions() {
 		}
 		return dt, nil
 	})
-	eval.RegisterFunction("duration", func(args []value.Value) (value.Value, error) {
-		if len(args) != 1 {
-			return nil, fmt.Errorf("temporal: duration() expects one argument")
-		}
+	eval.RegisterFunction("duration", eval.Args(1), func(args []value.Value) (value.Value, error) {
 		if value.IsNull(args[0]) {
 			return value.Null(), nil
 		}
@@ -263,13 +254,10 @@ func RegisterFunctions() {
 		d.Seconds = getInt("seconds") + 60*getInt("minutes") + 3600*getInt("hours")
 		return d, nil
 	})
-	eval.RegisterFunction("year", temporalComponent(func(d Date) int64 { return int64(d.Year) }))
-	eval.RegisterFunction("month", temporalComponent(func(d Date) int64 { return int64(d.Month) }))
-	eval.RegisterFunction("day", temporalComponent(func(d Date) int64 { return int64(d.Day) }))
-	eval.RegisterFunction("durationbetween", func(args []value.Value) (value.Value, error) {
-		if len(args) != 2 {
-			return nil, fmt.Errorf("temporal: durationBetween() expects two arguments")
-		}
+	eval.RegisterFunction("year", eval.Args(1), temporalComponent(func(d Date) int64 { return int64(d.Year) }))
+	eval.RegisterFunction("month", eval.Args(1), temporalComponent(func(d Date) int64 { return int64(d.Month) }))
+	eval.RegisterFunction("day", eval.Args(1), temporalComponent(func(d Date) int64 { return int64(d.Day) }))
+	eval.RegisterFunction("durationbetween", eval.Args(2), func(args []value.Value) (value.Value, error) {
 		if value.IsNull(args[0]) || value.IsNull(args[1]) {
 			return value.Null(), nil
 		}
@@ -283,10 +271,7 @@ func RegisterFunctions() {
 		}
 		return Between(a, b), nil
 	})
-	eval.RegisterFunction("dateadd", func(args []value.Value) (value.Value, error) {
-		if len(args) != 2 {
-			return nil, fmt.Errorf("temporal: dateAdd() expects a date and a duration")
-		}
+	eval.RegisterFunction("dateadd", eval.Args(2), func(args []value.Value) (value.Value, error) {
 		if value.IsNull(args[0]) || value.IsNull(args[1]) {
 			return value.Null(), nil
 		}
@@ -304,9 +289,6 @@ func RegisterFunctions() {
 
 func temporalComponent(get func(Date) int64) eval.ScalarFunc {
 	return func(args []value.Value) (value.Value, error) {
-		if len(args) != 1 {
-			return nil, fmt.Errorf("temporal: component accessor expects one argument")
-		}
 		switch v := args[0].(type) {
 		case Date:
 			return value.NewInt(get(v)), nil

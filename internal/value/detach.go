@@ -9,11 +9,25 @@ import "sort"
 // entity view with an immutable copy taken while the query's lock is still
 // held, giving results true snapshot semantics.
 
+// PropLister is implemented by entity views whose property list is an
+// immutable Props (the graph store's nodes and relationships). DetachNode
+// and DetachRelationship keep that list instead of copying the properties.
+type PropLister interface {
+	PropList() Props
+}
+
+// LabelSharer is implemented by node views whose sorted label slice is never
+// written in place (a label change installs a new slice), so DetachNode may
+// keep it instead of copying.
+type LabelSharer interface {
+	SharedLabels() []string
+}
+
 // detachedNode is an immutable copy of a node, decoupled from any store.
 type detachedNode struct {
 	id     int64
-	labels []string // sorted
-	props  map[string]Value
+	labels []string // sorted; never written
+	props  Props
 }
 
 func (n *detachedNode) ID() int64 { return n.id }
@@ -25,28 +39,18 @@ func (n *detachedNode) HasLabel(label string) bool {
 	return i < len(n.labels) && n.labels[i] == label
 }
 
-func (n *detachedNode) Property(key string) Value {
-	if v, ok := n.props[key]; ok {
-		return v
-	}
-	return Null()
-}
+func (n *detachedNode) Property(key string) Value { return n.props.Property(key) }
 
-func (n *detachedNode) PropertyKeys() []string {
-	keys := make([]string, 0, len(n.props))
-	for k := range n.props {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
+func (n *detachedNode) PropertyKeys() []string { return n.props.Keys() }
+
+func (n *detachedNode) PropList() Props { return n.props }
 
 // detachedRelationship is an immutable copy of a relationship.
 type detachedRelationship struct {
 	id         int64
 	typ        string
 	start, end int64
-	props      map[string]Value
+	props      Props
 }
 
 func (r *detachedRelationship) ID() int64          { return r.id }
@@ -54,35 +58,47 @@ func (r *detachedRelationship) RelType() string    { return r.typ }
 func (r *detachedRelationship) StartNodeID() int64 { return r.start }
 func (r *detachedRelationship) EndNodeID() int64   { return r.end }
 
-func (r *detachedRelationship) Property(key string) Value {
-	if v, ok := r.props[key]; ok {
-		return v
-	}
-	return Null()
+func (r *detachedRelationship) Property(key string) Value { return r.props.Property(key) }
+
+func (r *detachedRelationship) PropertyKeys() []string { return r.props.Keys() }
+
+// propertyView is the property access shared by Node and Relationship.
+type propertyView interface {
+	Property(key string) Value
+	PropertyKeys() []string
 }
 
-func (r *detachedRelationship) PropertyKeys() []string {
-	keys := make([]string, 0, len(r.props))
-	for k := range r.props {
-		keys = append(keys, k)
+// propsOf returns the entity's property list: the view's own immutable list
+// when it has one, else a list built from its keys.
+func propsOf(x propertyView) Props {
+	if pl, ok := x.(PropLister); ok {
+		return pl.PropList()
 	}
-	sort.Strings(keys)
-	return keys
+	keys := x.PropertyKeys()
+	if len(keys) == 0 {
+		return nil
+	}
+	p := make(Props, len(keys))
+	for i, k := range keys {
+		p[i] = Prop{Key: k, Val: x.Property(k)}
+	}
+	return p
 }
 
 // DetachNode copies a node view into an immutable snapshot. Property values
-// themselves are immutable (SET replaces them wholesale), so only the map
-// and label slice are copied.
+// and property lists are immutable (SET installs a new list), so a store
+// node's list and label slice are kept, not copied.
 func DetachNode(n Node) Node {
 	if _, ok := n.(*detachedNode); ok {
 		return n
 	}
-	keys := n.PropertyKeys()
-	props := make(map[string]Value, len(keys))
-	for _, k := range keys {
-		props[k] = n.Property(k)
+	var labels []string
+	if ls, ok := n.(LabelSharer); ok {
+		labels = ls.SharedLabels()
+	} else {
+		labels = n.Labels()
 	}
-	return &detachedNode{id: n.ID(), labels: n.Labels(), props: props}
+	return &detachedNode{id: n.ID(), labels: labels, props: propsOf(n)}
 }
 
 // DetachRelationship copies a relationship view into an immutable snapshot.
@@ -90,15 +106,10 @@ func DetachRelationship(r Relationship) Relationship {
 	if _, ok := r.(*detachedRelationship); ok {
 		return r
 	}
-	keys := r.PropertyKeys()
-	props := make(map[string]Value, len(keys))
-	for _, k := range keys {
-		props[k] = r.Property(k)
-	}
 	return &detachedRelationship{
 		id: r.ID(), typ: r.RelType(),
 		start: r.StartNodeID(), end: r.EndNodeID(),
-		props: props,
+		props: propsOf(r),
 	}
 }
 
