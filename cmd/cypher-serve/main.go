@@ -42,7 +42,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -57,7 +56,6 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -1148,32 +1146,20 @@ func entityProps(keys []string, get func(string) cypher.Value) map[string]any {
 	return out
 }
 
-// jsonBuffers recycles writeJSON's response buffers; one that grew past
-// maxPooledJSON for a large result is left to the collector.
-var jsonBuffers = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-const maxPooledJSON = 1 << 20
-
 // writeJSON encodes v in full before it writes the status, so a value JSON
 // cannot carry (a NaN or infinite float) turns into a 422 JSON error rather
 // than a 200 with an empty body. The query has run by then, so a write in
-// it has committed even though the answer is 422.
+// it has committed even though the answer is 422. The body is one line of
+// compact JSON ending in a newline.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	buf := jsonBuffers.Get().(*bytes.Buffer)
-	defer func() {
-		if buf.Cap() <= maxPooledJSON {
-			buf.Reset()
-			jsonBuffers.Put(buf)
-		}
-	}()
-	if err := json.NewEncoder(buf).Encode(v); err != nil {
-		buf.Reset()
+	b, err := json.Marshal(v)
+	if err != nil {
 		status = http.StatusUnprocessableEntity
-		_ = json.NewEncoder(buf).Encode(map[string]any{"error": fmt.Sprintf("result cannot be sent as JSON: %v", err)})
+		b, _ = json.Marshal(map[string]any{"error": fmt.Sprintf("result cannot be sent as JSON: %v", err)})
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	if _, err := w.Write(buf.Bytes()); err != nil {
+	if _, err := w.Write(append(b, '\n')); err != nil {
 		log.Printf("write response: %v", err)
 	}
 }

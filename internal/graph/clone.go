@@ -10,28 +10,36 @@ import (
 // labels, properties, relationships, declared indexes, ID counters and
 // mutation epoch, sharing no mutable structure with the source. Property
 // lists and label slices are immutable, so the copy holds the source's own
-// instead of copies. It is built from the same Apply records WAL recovery
-// uses, so indexes and statistics come out identical to a recovered store.
+// instead of copies. The copy's name table holds the source's strings for
+// the names its entities use, and drops names no entity uses any more. It is
+// built from the same Apply records WAL recovery uses, so indexes and
+// statistics come out identical to a recovered store.
 //
 // Clone only reads the source, taking its usual read locks, so concurrent
 // readers of the source are fine; the caller must exclude concurrent writers
 // (the MVCC store clones under the engine's write mutex).
 func (g *Graph) Clone() *Graph {
 	c := NewNamed(g.Name())
-	g.mu.RLock()
-	for k, v := range g.names {
-		c.names[k] = v
-	}
-	g.mu.RUnlock()
 	for _, idx := range g.Indexes() {
 		c.CreateIndex(idx[0], idx[1])
 	}
+	// c is not shared yet, so its name table needs no lock.
 	for _, n := range g.Nodes() {
+		for _, l := range n.labels {
+			c.adopt(l)
+		}
+		for k := range n.props.All() {
+			c.adopt(k)
+		}
 		if err := c.Apply(Mutation{Kind: MutCreateNode, ID: n.id, Labels: n.labels, list: n.props, listSet: true}); err != nil {
 			panic(fmt.Sprintf("graph: clone of consistent graph failed: %v", err))
 		}
 	}
 	for _, r := range g.Relationships() {
+		c.adopt(r.typ)
+		for k := range r.props.All() {
+			c.adopt(k)
+		}
 		if err := c.Apply(Mutation{Kind: MutCreateRel, ID: r.id, Start: r.start.id, End: r.end.id, Label: r.typ, list: r.props, listSet: true}); err != nil {
 			panic(fmt.Sprintf("graph: clone of consistent graph failed: %v", err))
 		}

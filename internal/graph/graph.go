@@ -136,8 +136,9 @@ func New() *Graph {
 // intern returns the graph's canonical copy of s, adding a copy of s on
 // first sight (a copy, so an interned name never pins a larger buffer such
 // as a query text or a decoded WAL payload). Callers hold the write lock.
-// The table only grows: it holds one entry per distinct key, label and
-// type ever written, the same vocabulary a schema would.
+// The table does not shrink when a name falls out of use: it keeps one
+// entry per distinct key, label and type written since the graph was built.
+// Clone, and recovery from a snapshot, start over from the names in use.
 func (g *Graph) intern(s string) string {
 	if c, ok := g.names[s]; ok {
 		return c
@@ -145,6 +146,15 @@ func (g *Graph) intern(s string) string {
 	s = strings.Clone(s)
 	g.names[s] = s
 	return s
+}
+
+// adopt makes s, a canonical name of another graph, this graph's canonical
+// copy of it unless the graph already has one. Clone uses it so the copy
+// shares the source's strings and holds only the names in use.
+func (g *Graph) adopt(s string) {
+	if _, ok := g.names[s]; !ok {
+		g.names[s] = s
+	}
 }
 
 // NewNamed creates an empty property graph with a name (used by the multiple

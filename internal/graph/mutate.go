@@ -86,7 +86,7 @@ func (g *Graph) insertRel(id int64, typ string, start, end *Node, props value.Pr
 // from in: in itself when the list holds all of its entries (no null was
 // dropped), so the common case builds no second map.
 func journalProps(in map[string]value.Value, p value.Props) map[string]value.Value {
-	if len(in) == len(p) {
+	if len(in) == p.Len() {
 		return in
 	}
 	return p.Map()

@@ -62,7 +62,7 @@ func TestPropertyListsMatchMapModel(t *testing.T) {
 				if err := shared.Apply(m.copyForReplay()); err != nil {
 					t.Fatalf("shared replay: %v", err)
 				}
-				m.list, m.listSet = nil, false
+				m.list, m.listSet = value.Props{}, false
 				if err := rebuilt.Apply(m.copyForReplay()); err != nil {
 					t.Fatalf("rebuilt replay: %v", err)
 				}
@@ -153,7 +153,7 @@ func TestInternedNamesAreShared(t *testing.T) {
 	must(t, g.SetNodeProperty(b, fresh("age"), value.NewInt(3)))
 	must(t, g.AddNodeLabel(a, fresh("Admin")))
 	same := func(x, y string) bool { return unsafe.StringData(x) == unsafe.StringData(y) }
-	if !same(a.props[0].Key, b.props[1].Key) { // b: age, name
+	if !same(a.props.Keys()[0], b.props.Keys()[1]) { // b: age, name
 		t.Error("property key not interned")
 	}
 	if !same(a.labels[1], b.labels[0]) {
@@ -164,12 +164,50 @@ func TestInternedNamesAreShared(t *testing.T) {
 	}
 	c := g.Clone()
 	cb, _ := c.NodeByID(b.ID())
-	if !same(cb.labels[0], b.labels[0]) || unsafe.SliceData(cb.props) != unsafe.SliceData(b.props) {
+	if !same(cb.labels[0], b.labels[0]) || !cb.props.Shares(b.props) {
 		t.Error("clone copied a label or property list instead of sharing it")
 	}
 	cr, _ := c.RelationshipByID(r1.ID())
 	if !same(cr.typ, r1.typ) {
 		t.Error("clone did not keep the interned type")
+	}
+}
+
+// TestCloneDropsUnusedNames checks that the name table keeps a key after its
+// last use is gone (the table does not shrink), and that Clone starts the
+// copy over from the names its entities still use.
+func TestCloneDropsUnusedNames(t *testing.T) {
+	g := New()
+	n := g.CreateNode([]string{"Person"}, props("name", "a"))
+	for i := 0; i < 100; i++ {
+		k := fmt.Sprintf("user%d", i)
+		must(t, g.SetNodeProperty(n, k, value.NewInt(int64(i))))
+		must(t, g.SetNodeProperty(n, k, value.Null()))
+	}
+	gone := g.CreateNode([]string{"Gone"}, props("tmp", 1))
+	r, err := g.CreateRelationship(n, gone, "LINK", nil)
+	must(t, err)
+	must(t, g.DeleteRelationship(r))
+	must(t, g.DeleteNode(gone))
+	if _, ok := g.names["user7"]; !ok {
+		t.Fatal("the source dropped a name; the table is meant to keep it")
+	}
+
+	c := g.Clone()
+	want := []string{"Person", "name"}
+	var got []string
+	for k := range c.names {
+		got = append(got, k)
+	}
+	slices.Sort(got)
+	if !slices.Equal(got, want) {
+		t.Fatalf("clone names = %v, want %v", got, want)
+	}
+	// The clone interns later writes against its own table.
+	cn, _ := c.NodeByID(n.ID())
+	must(t, c.SetNodeProperty(cn, "user7", value.NewInt(1)))
+	if _, ok := c.names["user7"]; !ok {
+		t.Fatal("clone did not intern a new key")
 	}
 }
 
@@ -186,12 +224,12 @@ func TestSharedListsNeverChange(t *testing.T) {
 	c := g.Clone()
 	cn, _ := c.NodeByID(n.ID())
 	cr, _ := c.RelationshipByID(r.ID())
-	if unsafe.SliceData(cn.props) != unsafe.SliceData(n.props) || unsafe.SliceData(cr.props) != unsafe.SliceData(r.props) {
+	if !cn.props.Shares(n.props) || !cr.props.Shares(r.props) {
 		t.Fatal("clone does not share the source's lists")
 	}
 	dn := value.DetachNode(n)
 	dr := value.DetachRelationship(r)
-	if unsafe.SliceData(dn.(value.PropLister).PropList()) != unsafe.SliceData(n.props) {
+	if !dn.(value.PropLister).PropList().Shares(n.props) {
 		t.Fatal("detached node does not share the source's list")
 	}
 	wantNode, wantRel := value.NewNode(cn).String(), value.NewRelationship(cr).String()

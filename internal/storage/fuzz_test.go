@@ -2,10 +2,16 @@ package storage
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
+	"os"
+	"path/filepath"
+	"runtime"
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/value"
 )
 
 // TestDecodeRejectsCountsBeyondPayload feeds payloads whose element counts
@@ -36,6 +42,44 @@ func TestDecodeRejectsCountsBeyondPayload(t *testing.T) {
 		if _, err := decodeBatch(in); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: decodeBatch = %v, want ErrCorrupt", name, err)
 		}
+	}
+}
+
+// TestSnapshotHeaderCountBoundedByFileSize writes a valid snapshot, then
+// re-signs its header frame with a record count of 0xffffffff. readSnapshot
+// must answer ErrCorrupt without sizing its record slice from that count.
+func TestSnapshotHeaderCountBoundedByFileSize(t *testing.T) {
+	g := graph.New()
+	g.CreateNode([]string{"A"}, map[string]value.Value{"k": value.NewInt(1)})
+	dir := t.TempDir()
+	if _, err := writeSnapshot(dir, buildSnapshotImage(g, 1)); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, snapshotName(1))
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Header frame: [length][crc][gen u64, next node i64, next rel i64, count u32].
+	frame := raw[len(snapMagic):]
+	payload := frame[entryHeaderSize : entryHeaderSize+binary.LittleEndian.Uint32(frame[0:4])]
+	binary.LittleEndian.PutUint32(payload[len(payload)-4:], 0xffffffff)
+	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, crcTable))
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = readSnapshot(path)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("readSnapshot = %v, want ErrCorrupt", err)
+	}
+	// The read buffer is 1 MiB; a slice sized from the count would be
+	// hundreds of gigabytes.
+	if n := after.TotalAlloc - before.TotalAlloc; n > 8<<20 {
+		t.Fatalf("readSnapshot allocated %d bytes for a %d-byte file", n, len(raw))
 	}
 }
 

@@ -76,13 +76,13 @@ func propsOf(x propertyView) Props {
 	}
 	keys := x.PropertyKeys()
 	if len(keys) == 0 {
-		return nil
+		return Props{}
 	}
-	p := make(Props, len(keys))
+	e := make([]Prop, len(keys))
 	for i, k := range keys {
-		p[i] = Prop{Key: k, Val: x.Property(k)}
+		e[i] = Prop{Key: k, Val: x.Property(k)}
 	}
-	return p
+	return Props{e: e}
 }
 
 // DetachNode copies a node view into an immutable snapshot. Property values

@@ -1,6 +1,7 @@
 package value
 
 import (
+	"iter"
 	"slices"
 	"strings"
 )
@@ -14,17 +15,16 @@ type Prop struct {
 // Props is an immutable property list: the partial function iota(x, .) of
 // one node or relationship, stored as entries sorted by key, with no
 // duplicate keys and no null values. Every operation that changes a list
-// returns a new one and leaves the receiver untouched, so one list can be
-// shared by any number of holders (graph replicas, detached result
-// entities) without copying. The nil list is the empty list.
+// returns a new one and leaves the receiver untouched, and the entries are
+// reachable only through read accessors, so one list can be shared by any
+// number of holders (graph replicas, detached result entities) without
+// copying. The zero Props is the empty list.
 //
 // A slice of a few entries is a fraction of the size of a Go map holding
-// the same pairs, and a lookup over it is a short scan with no hashing.
-type Props []Prop
-
-// linearProps is the list length up to which Get scans instead of
-// bisecting; typical entities carry fewer properties than this.
-const linearProps = 8
+// the same pairs, and a lookup over it is a short bisection with no hashing.
+type Props struct {
+	e []Prop
+}
 
 // NewProps builds a list from a map, dropping null values. intern, when not
 // nil, maps every key to its canonical copy (the graph's key table), so the
@@ -37,9 +37,9 @@ func NewProps(m map[string]Value, intern func(string) string) Props {
 		}
 	}
 	if n == 0 {
-		return nil
+		return Props{}
 	}
-	p := make(Props, 0, n)
+	e := make([]Prop, 0, n)
 	for k, v := range m {
 		if IsNull(v) {
 			continue
@@ -47,49 +47,34 @@ func NewProps(m map[string]Value, intern func(string) string) Props {
 		if intern != nil {
 			k = intern(k)
 		}
-		p = append(p, Prop{Key: k, Val: v})
+		e = append(e, Prop{Key: k, Val: v})
 	}
-	if len(p) > 1 {
-		slices.SortFunc(p, func(a, b Prop) int { return strings.Compare(a.Key, b.Key) })
-	}
-	return p
+	slices.SortFunc(e, func(a, b Prop) int { return strings.Compare(a.Key, b.Key) })
+	return Props{e: e}
 }
 
-// search returns the position of key in the list, or where it would be
-// inserted, and whether it is present.
+// search bisects the list for key. It returns the position of key, or
+// where it would be inserted, and whether it is present.
 func (p Props) search(key string) (int, bool) {
-	if len(p) <= linearProps {
-		for i := range p {
-			if p[i].Key >= key {
-				return i, p[i].Key == key
-			}
-		}
-		return len(p), false
-	}
-	lo, hi := 0, len(p)
+	lo, hi := 0, len(p.e)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if p[mid].Key < key {
+		if p.e[mid].Key < key {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	return lo, lo < len(p) && p[lo].Key == key
+	return lo, lo < len(p.e) && p.e[lo].Key == key
 }
+
+// Len returns the number of properties in the list.
+func (p Props) Len() int { return len(p.e) }
 
 // Get returns the value of key and whether the list defines it.
 func (p Props) Get(key string) (Value, bool) {
-	if len(p) <= linearProps {
-		for i := range p {
-			if p[i].Key == key {
-				return p[i].Val, true
-			}
-		}
-		return nil, false
-	}
 	if i, ok := p.search(key); ok {
-		return p[i].Val, true
+		return p.e[i].Val, true
 	}
 	return nil, false
 }
@@ -103,41 +88,58 @@ func (p Props) Property(key string) Value {
 	return Null()
 }
 
+// All yields the entries in key order.
+func (p Props) All() iter.Seq2[string, Value] {
+	return func(yield func(string, Value) bool) {
+		for _, e := range p.e {
+			if !yield(e.Key, e.Val) {
+				return
+			}
+		}
+	}
+}
+
 // Keys returns the keys in sorted order, in a new slice.
 func (p Props) Keys() []string {
-	keys := make([]string, len(p))
-	for i := range p {
-		keys[i] = p[i].Key
+	keys := make([]string, len(p.e))
+	for i := range p.e {
+		keys[i] = p.e[i].Key
 	}
 	return keys
 }
 
 // Map returns the list as a new map.
 func (p Props) Map() map[string]Value {
-	m := make(map[string]Value, len(p))
-	for _, e := range p {
+	m := make(map[string]Value, len(p.e))
+	for _, e := range p.e {
 		m[e.Key] = e.Val
 	}
 	return m
 }
 
-// With returns a list in which key maps to v: a new list when that changes
-// anything. A null v removes the key, as SET to null does.
+// Shares reports whether p and q are one list (the same entries in the same
+// memory), as opposed to equal copies. Two empty lists share.
+func (p Props) Shares(q Props) bool {
+	return len(p.e) == len(q.e) && (len(p.e) == 0 || &p.e[0] == &q.e[0])
+}
+
+// With returns a new list in which key maps to v. A null v removes the key,
+// as SET to null does.
 func (p Props) With(key string, v Value) Props {
 	if IsNull(v) {
 		return p.Without(key)
 	}
 	i, ok := p.search(key)
 	if ok {
-		out := slices.Clone(p)
+		out := slices.Clone(p.e)
 		out[i].Val = v
-		return out
+		return Props{e: out}
 	}
-	out := make(Props, len(p)+1)
-	copy(out, p[:i])
+	out := make([]Prop, len(p.e)+1)
+	copy(out, p.e[:i])
 	out[i] = Prop{Key: key, Val: v}
-	copy(out[i+1:], p[i:])
-	return out
+	copy(out[i+1:], p.e[i:])
+	return Props{e: out}
 }
 
 // Without returns a list that does not define key: the receiver itself when
@@ -147,11 +149,11 @@ func (p Props) Without(key string) Props {
 	if !ok {
 		return p
 	}
-	if len(p) == 1 {
-		return nil
+	if len(p.e) == 1 {
+		return Props{}
 	}
-	out := make(Props, len(p)-1)
-	copy(out, p[:i])
-	copy(out[i:], p[i+1:])
-	return out
+	out := make([]Prop, len(p.e)-1)
+	copy(out, p.e[:i])
+	copy(out[i:], p.e[i+1:])
+	return Props{e: out}
 }

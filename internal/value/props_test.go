@@ -12,16 +12,16 @@ import (
 // no null values) holding exactly the model's entries.
 func checkProps(t *testing.T, step int, p Props, model map[string]Value, pool []string) {
 	t.Helper()
-	if len(p) != len(model) {
-		t.Fatalf("step %d: len %d, model has %d", step, len(p), len(model))
+	if p.Len() != len(model) {
+		t.Fatalf("step %d: len %d, model has %d", step, p.Len(), len(model))
 	}
 	keys := p.Keys()
 	if !slices.IsSorted(keys) || len(slices.Compact(slices.Clone(keys))) != len(keys) {
 		t.Fatalf("step %d: keys not strictly sorted: %v", step, keys)
 	}
-	for _, e := range p {
-		if IsNull(e.Val) {
-			t.Fatalf("step %d: list stores null under %q", step, e.Key)
+	for k, v := range p.All() {
+		if IsNull(v) {
+			t.Fatalf("step %d: list stores null under %q", step, k)
 		}
 	}
 	for _, k := range append(pool, "absent") {
@@ -42,9 +42,8 @@ func checkProps(t *testing.T, step int, p Props, model map[string]Value, pool []
 
 // TestPropsMatchMapModel drives a list and a Go map through the same random
 // sequence of set, remove, set-to-null and replace operations and checks
-// they agree after every step, for key pools of 0, 1, 3 and 64 keys (the
-// last crosses the scan/bisect threshold). It also checks that no operation
-// changes a list it was applied to.
+// they agree after every step, for key pools of 0, 1, 3 and 64 keys. It
+// also checks that no operation changes a list it was applied to.
 func TestPropsMatchMapModel(t *testing.T) {
 	for _, nkeys := range []int{0, 1, 3, 64} {
 		t.Run(fmt.Sprintf("keys=%d", nkeys), func(t *testing.T) {
@@ -62,7 +61,7 @@ func TestPropsMatchMapModel(t *testing.T) {
 			var p Props
 			model := map[string]Value{}
 			for step := 0; step < 2000; step++ {
-				before := slices.Clone(p)
+				before := slices.Clone(p.e)
 				prev := p
 				switch op := rng.Intn(10); {
 				case op < 5: // set
@@ -94,7 +93,7 @@ func TestPropsMatchMapModel(t *testing.T) {
 						}
 					}
 				}
-				if !slices.Equal(prev, before) {
+				if !slices.Equal(prev.e, before) {
 					t.Fatalf("step %d: an operation changed the list it was applied to", step)
 				}
 				checkProps(t, step, p, model, pool)
@@ -108,10 +107,10 @@ func TestPropsMatchMapModel(t *testing.T) {
 func TestNewPropsInterns(t *testing.T) {
 	canon := "name"
 	p := NewProps(map[string]Value{string([]byte("name")): NewInt(1), "gone": Null()}, func(string) string { return canon })
-	if len(p) != 1 || p[0].Key != "name" {
+	if p.Len() != 1 || p.e[0].Key != "name" {
 		t.Fatalf("NewProps = %v", p)
 	}
-	if unsafe.StringData(p[0].Key) != unsafe.StringData(canon) {
+	if unsafe.StringData(p.e[0].Key) != unsafe.StringData(canon) {
 		t.Fatal("key was not replaced by the interned copy")
 	}
 }
