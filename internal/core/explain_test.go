@@ -57,14 +57,13 @@ runtime parallelism: 1
 		},
 		{
 			query: "MATCH (n:Person) WHERE n.age > 90 AND n.age <= 95 RETURN count(n) AS c",
-			want: `+ SelectColumns(c) [rows~1.0 cost~23]
-  + SelectColumns(c) [rows~1.0 cost~22]
-    + Project(  agg#1 AS c) [rows~1.0 cost~21]
-      + Aggregate(  agg#1: count(n)) [rows~1.0 cost~20]
-        + NodeIndexRangeSeek(n:Person {age > 90, age <= 95}) [rows~10 cost~10]
-          + Start [rows~1.0 cost~0.0]
+			want: `+ SelectColumns(c) [rows~1.0 cost~22]
+  + Project(  agg#1 AS c) [rows~1.0 cost~21]
+    + Aggregate(  agg#1: count(n)) [rows~1.0 cost~20]
+      + NodeIndexRangeSeek(n:Person {age > 90, age <= 95}) [rows~10 cost~10]
+        + Start [rows~1.0 cost~0.0]
 parallel: eligible (morsel-driven NodeIndexRangeSeek(n:Person {age > 90, age <= 95}), partial aggregation)
-vectorized: row-at-a-time (Aggregate materializes groups row-at-a-time)
+vectorized: eligible (batched NodeIndexRangeSeek(n:Person {age > 90, age <= 95}) -> aggregate; Aggregate ends the batched prefix)
 runtime parallelism: 1
 `,
 		},
@@ -138,32 +137,44 @@ runtime parallelism: 1
 		},
 		{
 			query: "MATCH (p:Person)-[:WORKS_AT]->(c:Company) RETURN c.cid AS cid, count(p) AS n",
-			want: `+ SelectColumns(cid, n) [rows~1.0 cost~36]
-  + SelectColumns(cid, n) [rows~1.0 cost~35]
-    + Project(cid AS cid,   agg#1 AS n) [rows~1.0 cost~34]
-      + Aggregate(cid,   agg#1: count(p)) [rows~1.0 cost~33]
-        + Filter(p:Person) [rows~4.5 cost~28]
-          + Expand((c)<--[  rel#1:WORKS_AT](p)) [rows~9.1 cost~19]
-            + NodeByLabelScan(c:Company) [rows~10 cost~10]
-              + Start [rows~1.0 cost~0.0]
+			want: `+ SelectColumns(cid, n) [rows~1.0 cost~35]
+  + Project(cid AS cid,   agg#1 AS n) [rows~1.0 cost~34]
+    + Aggregate(cid,   agg#1: count(p)) [rows~1.0 cost~33]
+      + Filter(p:Person) [rows~4.5 cost~28]
+        + Expand((c)<--[  rel#1:WORKS_AT](p)) [rows~9.1 cost~19]
+          + NodeByLabelScan(c:Company) [rows~10 cost~10]
+            + Start [rows~1.0 cost~0.0]
 parallel: eligible (morsel-driven NodeByLabelScan(c:Company), partial aggregation)
-vectorized: eligible (batched NodeByLabelScan(c:Company) -> expand -> filter; Aggregate materializes groups row-at-a-time)
+vectorized: eligible (batched NodeByLabelScan(c:Company) -> expand -> filter -> aggregate; Aggregate ends the batched prefix)
 runtime parallelism: 1
 `,
 		},
 		{
 			query: "MATCH (a:Person {age: 1}) MATCH (b:Person {age: 11}) MATCH (a)-[:WORKS_AT]->(c)<-[:WORKS_AT]-(b) RETURN count(c) AS c",
-			want: `+ SelectColumns(c) [rows~1.0 cost~6.8]
-  + SelectColumns(c) [rows~1.0 cost~5.8]
-    + Project(  agg#1 AS c) [rows~1.0 cost~4.8]
-      + Aggregate(  agg#1: count(c)) [rows~1.0 cost~3.8]
-        + ExpandInto((c)<--[  rel#2:WORKS_AT](b)) [rows~0.0 cost~3.8]
-          + Expand((a)-->[  rel#1:WORKS_AT](c)) [rows~0.9 cost~2.9]
-            + NodeIndexSeek(b:Person {age = 11}) [rows~1.0 cost~2.0]
-              + NodeIndexSeek(a:Person {age = 1}) [rows~1.0 cost~1.0]
-                + Start [rows~1.0 cost~0.0]
+			want: `+ SelectColumns(c) [rows~1.0 cost~5.8]
+  + Project(  agg#1 AS c) [rows~1.0 cost~4.8]
+    + Aggregate(  agg#1: count(c)) [rows~1.0 cost~3.8]
+      + ExpandInto((c)<--[  rel#2:WORKS_AT](b)) [rows~0.0 cost~3.8]
+        + Expand((a)-->[  rel#1:WORKS_AT](c)) [rows~0.9 cost~2.9]
+          + NodeIndexSeek(b:Person {age = 11}) [rows~1.0 cost~2.0]
+            + NodeIndexSeek(a:Person {age = 1}) [rows~1.0 cost~1.0]
+              + Start [rows~1.0 cost~0.0]
 parallel: serial (no per-row work above the scan)
 vectorized: row-at-a-time (NodeIndexSeek(b:Person {age = 11}) keeps the row path)
+runtime parallelism: 1
+`,
+		},
+		{
+			query: "MATCH (p:Person)-[:WORKS_AT]->(c:Company) RETURN count(DISTINCT p.age) AS ages",
+			want: `+ SelectColumns(ages) [rows~1.0 cost~35]
+  + Project(  agg#1 AS ages) [rows~1.0 cost~34]
+    + Aggregate(  agg#1: count(DISTINCT p.age)) [rows~1.0 cost~33]
+      + Filter(p:Person) [rows~4.5 cost~28]
+        + Expand((c)<--[  rel#1:WORKS_AT](p)) [rows~9.1 cost~19]
+          + NodeByLabelScan(c:Company) [rows~10 cost~10]
+            + Start [rows~1.0 cost~0.0]
+parallel: eligible (morsel-driven NodeByLabelScan(c:Company), partial aggregation)
+vectorized: eligible (batched NodeByLabelScan(c:Company) -> expand -> filter -> aggregate; Aggregate ends the batched prefix)
 runtime parallelism: 1
 `,
 		},

@@ -69,7 +69,7 @@ func NewAggregator(name string, distinct bool) (Aggregator, error) {
 
 // NewCountStarAggregator returns the aggregator for count(*), which counts
 // rows rather than non-null values.
-func NewCountStarAggregator() Aggregator { return &countStarAgg{} }
+func NewCountStarAggregator() Aggregator { return &CountStarAgg{} }
 
 type countAgg struct{ n int64 }
 
@@ -90,13 +90,19 @@ func (a *countAgg) Merge(other Aggregator) error {
 	return nil
 }
 
-type countStarAgg struct{ n int64 }
+// CountStarAgg is count(*)'s aggregator. Exported so that a caller that
+// knows it holds one can count a row with Inc instead of an Add through the
+// interface.
+type CountStarAgg struct{ n int64 }
 
-func (a *countStarAgg) Add(value.Value) error { a.n++; return nil }
-func (a *countStarAgg) Result() value.Value   { return value.NewInt(a.n) }
+// Inc counts one row.
+func (a *CountStarAgg) Inc() { a.n++ }
 
-func (a *countStarAgg) Merge(other Aggregator) error {
-	o, ok := other.(*countStarAgg)
+func (a *CountStarAgg) Add(value.Value) error { a.n++; return nil }
+func (a *CountStarAgg) Result() value.Value   { return value.NewInt(a.n) }
+
+func (a *CountStarAgg) Merge(other Aggregator) error {
+	o, ok := other.(*CountStarAgg)
 	if !ok {
 		return mergeTypeError(a, other)
 	}

@@ -554,6 +554,14 @@ func (ex *Executor) buildExpandKernel(o *plan.Expand, bp *batchPipeline, emit ba
 			return nil, false, nil
 		}
 	}
+	// A binding no operator above reads is left unbound: an anonymous
+	// relationship, or an endpoint only counted, is never boxed.
+	if relSlot >= 0 && !ex.pl.ReadAbove(o, o.RelVar) {
+		relSlot = -1
+	}
+	if !ex.pl.ReadAbove(o, o.ToVar) {
+		toSlot = -1
+	}
 	dir := toGraphDirection(o.Direction)
 	needRelSet := ex.opts.Morphism == EdgeIsomorphism && len(o.UniqueRels) > 0
 	needNodeSet := ex.opts.Morphism == NodeIsomorphism && len(o.UniqueNodes) > 0
@@ -643,7 +651,9 @@ func (ex *Executor) buildExpandKernel(o *plan.Expand, bp *batchPipeline, emit ba
 			if relSlot >= 0 {
 				out.Col(relSlot)[dst] = value.NewRelationship(rel)
 			}
-			out.Col(toSlot)[dst] = value.NewNode(target)
+			if toSlot >= 0 {
+				out.Col(toSlot)[dst] = value.NewNode(target)
+			}
 			return true
 		})
 		releaseIDSet(usedRels)
@@ -661,6 +671,98 @@ func (ex *Executor) buildExpandKernel(o *plan.Expand, bp *batchPipeline, emit ba
 	}, true, nil
 }
 
+// --- Aggregate sink ---
+
+// aggSink is the batched prefix's terminal kernel: it folds every selected
+// row of a batch straight into an aggState's group table. Grouping keys and
+// arguments are compiled once; an item without a batch form falls back, by
+// itself, to the scalar evaluator over a view record loaded once per row.
+// Items are evaluated row-major, keys first and then arguments, which is the
+// row path's order (aggState.add), so the first error is the same one.
+type aggSink struct {
+	st   *aggState
+	keys []batchItem
+	args []batchItem // expr nil for count(*)
+	view result.Record
+	// loaded reports whether view holds the current row.
+	loaded bool
+}
+
+// batchItem is one compiled expression with its scalar fallback.
+type batchItem struct {
+	fast eval.BatchExpr
+	expr ast.Expr
+}
+
+func (ex *Executor) newAggSink(st *aggState) *aggSink {
+	o := st.o
+	items := make([]batchItem, len(o.Grouping)+len(o.Aggregations))
+	for i, g := range o.Grouping {
+		items[i].expr = g.Expr
+	}
+	for i, a := range o.Aggregations {
+		items[len(o.Grouping)+i].expr = a.Arg
+	}
+	fallback := false
+	for i := range items {
+		if items[i].expr != nil {
+			var ok bool
+			items[i].fast, ok = ex.evalCtx.CompileBatchExpr(items[i].expr, ex.tab)
+			fallback = fallback || !ok
+		}
+	}
+	k := &aggSink{st: st, keys: items[:len(o.Grouping)], args: items[len(o.Grouping):]}
+	if fallback {
+		k.view = result.NewSlotted(ex.tab)
+	}
+	return k
+}
+
+// eval evaluates one item against physical row `row` of b.
+func (k *aggSink) eval(it *batchItem, b *result.Batch, row int32) (value.Value, error) {
+	if it.fast != nil {
+		return it.fast(b, row)
+	}
+	if !k.loaded {
+		b.LoadRecord(&k.view, row)
+		k.loaded = true
+	}
+	return k.st.ex.evalCtx.Evaluate(it.expr, k.view)
+}
+
+// push folds the batch's selected rows into the state.
+func (k *aggSink) push(b *result.Batch) error {
+	st := k.st
+	for _, row := range b.Selection() {
+		k.loaded = false
+		for i := range k.keys {
+			v, err := k.eval(&k.keys[i], b, row)
+			if err != nil {
+				return err
+			}
+			st.keyScratch[i] = v
+		}
+		g, err := st.group()
+		if err != nil {
+			return err
+		}
+		for i := range k.args {
+			if k.args[i].expr == nil {
+				g.aggs[i].(*eval.CountStarAgg).Inc()
+				continue
+			}
+			v, err := k.eval(&k.args[i], b, row)
+			if err != nil {
+				return err
+			}
+			if err := g.aggs[i].Add(v); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 // --- Vectorized drivers ---
 
 // executeVectorized attempts a serial vectorized run of the plan's batched
@@ -672,7 +774,7 @@ func (ex *Executor) executeVectorized(p *plan.Plan, pl *plan.Pipeline) (tbl *res
 	if !ok {
 		return nil, false, nil
 	}
-	top, err := buildChain(&vecSource{varName: varName, nodes: nodes, ops: pl.Ops[:pl.Batched]}, pl.Ops[pl.Batched:])
+	top, err := ex.buildChain(&vecSource{varName: varName, nodes: nodes, ops: pl.Ops[:pl.Batched]}, pl.Ops[pl.Batched:])
 	if err != nil {
 		return nil, false, nil
 	}
@@ -690,19 +792,64 @@ func (ex *Executor) executeVectorized(p *plan.Plan, pl *plan.Pipeline) (tbl *res
 	return tbl, true, nil
 }
 
-// runVectorized drives a vecSource leaf: chunk the node set into batches,
-// push each through the kernel chain, and adapt surviving rows back into
-// the row pipeline above.
+// runVectorized drives a vecSource leaf: its batched kernels run over the
+// node set, and surviving rows are adapted back into the row pipeline above
+// — or, when the segment ends in an Aggregate, folded into its groups, which
+// then feed the row pipeline once the scan is done.
 func (ex *Executor) runVectorized(o *vecSource, emit emitFn) error {
+	if n := len(o.ops); n > 0 {
+		if agg, ok := o.ops[n-1].(*plan.Aggregate); ok {
+			st := ex.newAggState(agg)
+			if err := ex.foldVectorized(o, st); err != nil {
+				return err
+			}
+			return st.emit(emit)
+		}
+	}
+	view := result.NewSlotted(ex.tab)
+	ok, err := ex.pushBatches(o.varName, o.nodes, o.ops, func(b *result.Batch) error {
+		for _, row := range b.Selection() {
+			b.LoadRecord(&view, row)
+			if err := emit(view); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if !ok && err == nil {
+		return ex.runVecRowFallback(o, emit)
+	}
+	return err
+}
+
+// foldVectorized runs a vecSource whose last operator is an Aggregate,
+// folding its rows into st (the serial run's state, or one morsel's partial
+// state).
+func (ex *Executor) foldVectorized(o *vecSource, st *aggState) error {
+	ops := o.ops[:len(o.ops)-1]
+	ok, err := ex.pushBatches(o.varName, o.nodes, ops, ex.newAggSink(st).push)
+	if ok || err != nil {
+		return err
+	}
+	top, err := ex.buildChain(&nodeSource{varName: o.varName, nodes: o.nodes}, ops)
+	if err != nil {
+		return err
+	}
+	return ex.run(top, nil, st.add)
+}
+
+// pushBatches chunks the node set into batches and pushes each through the
+// batched kernels of ops into sink. ok=false, with nothing pushed, means the
+// kernels reject the shape and the caller should take the row path.
+func (ex *Executor) pushBatches(varName string, nodes []*graph.Node, ops []plan.Operator, sink batchEmit) (ok bool, err error) {
 	size := ex.batchSize()
 	if size <= 0 {
 		size = DefaultBatchSize
 	}
-	scanSlot, ok := ex.tab.Slot(o.varName)
+	scanSlot, ok := ex.tab.Slot(varName)
 	if !ok {
-		return ex.runVecRowFallback(o, emit)
+		return false, nil
 	}
-	ops := o.ops
 	// Scan+filter fusion: consecutive columnar filters directly above the
 	// scan that read only the scan variable run over the raw node chunk,
 	// before boxing (the planner pushes each WHERE conjunct as its own
@@ -724,22 +871,12 @@ func (ex *Executor) runVectorized(o *vecSource, emit emitFn) error {
 		}
 		ops = ops[1:]
 	}
-	view := result.NewSlotted(ex.tab)
-	sink := func(b *result.Batch) error {
-		for _, row := range b.Selection() {
-			b.LoadRecord(&view, row)
-			if err := emit(view); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	push, bp, ok, err := ex.buildBatchKernels(ops, size, sink)
 	if err != nil {
-		return err
+		return true, err
 	}
 	if !ok {
-		return ex.runVecRowFallback(o, emit)
+		return false, nil
 	}
 	defer bp.close()
 	b := getBatch(ex.tab, size)
@@ -748,16 +885,16 @@ func (ex *Executor) runVectorized(o *vecSource, emit emitFn) error {
 	if fused != nil {
 		// Sized to the largest chunk this node set yields, not to the
 		// batch capacity.
-		scratch = make([]*graph.Node, 0, min(size, len(o.nodes)))
+		scratch = make([]*graph.Node, 0, min(size, len(nodes)))
 	}
-	for lo := 0; lo < len(o.nodes); lo += size {
+	for lo := 0; lo < len(nodes); lo += size {
 		// Cancellation check at the batch boundary — the vectorized
 		// counterpart of the row loops' stride ticks (one chunk is one
 		// stride by construction).
 		if err := ex.qc.Err(); err != nil {
-			return err
+			return true, err
 		}
-		chunk := o.nodes[lo:min(lo+size, len(o.nodes))]
+		chunk := nodes[lo:min(lo+size, len(nodes))]
 		if fused != nil {
 			scratch = fused.filterNodesInto(scratch[:0], chunk)
 			chunk = scratch
@@ -772,12 +909,12 @@ func (ex *Executor) runVectorized(o *vecSource, emit emitFn) error {
 		}
 		if err := push(b); err != nil {
 			if errors.Is(err, errBatchLimit) {
-				return nil
+				return true, nil
 			}
-			return err
+			return true, err
 		}
 	}
-	return nil
+	return true, nil
 }
 
 // runVecRowFallback runs the vecSource's segment on the row path (a
@@ -785,7 +922,7 @@ func (ex *Executor) runVectorized(o *vecSource, emit emitFn) error {
 // slots). Semantics are identical by construction: this is exactly the
 // morsel worker's nodeSource chain.
 func (ex *Executor) runVecRowFallback(o *vecSource, emit emitFn) error {
-	top, err := buildChain(&nodeSource{varName: o.varName, nodes: o.nodes}, o.ops)
+	top, err := ex.buildChain(&nodeSource{varName: o.varName, nodes: o.nodes}, o.ops)
 	if err != nil {
 		return err
 	}

@@ -10,7 +10,9 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/graph"
+	"repro/internal/parser"
 	"repro/internal/plan"
+	"repro/internal/planner"
 	"repro/internal/result"
 	"repro/internal/value"
 )
@@ -320,5 +322,85 @@ func TestVectorizedFallsBackOnHandBuiltShapes(t *testing.T) {
 	}
 	if len(got) != 5 || got[0] != "0" || got[4] != "4" {
 		t.Fatalf("fallback rows = %v", got)
+	}
+}
+
+// TestExpandLeavesDeadSlotsUnwritten checks slot liveness end to end: in
+// (a)-[anon1]->(b)-[r]->(c)-[anon3]->(d) RETURN count(r), count(d), the
+// expand kernel and its row-path twin leave the last anonymous relationship
+// unbound, while anon1 (read by the later expands' uniqueness sets), the
+// named r and every endpoint stay bound.
+func TestExpandLeavesDeadSlotsUnwritten(t *testing.T) {
+	g := leafGraph(20)
+	leaves := g.NodesByLabel("Leaf")
+	for i, n := range leaves {
+		if _, err := g.CreateRelationship(n, leaves[(i+1)%len(leaves)], "R", nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q, err := parser.Parse("MATCH (a:Leaf)-[:R]->(b)-[r:R]->(c)-[:R]->(d) RETURN count(r) AS n, count(d) AS m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := planner.New(g).Plan(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl := p.Pipeline
+	var expands []*plan.Expand
+	for _, op := range pl.Ops {
+		if e, ok := op.(*plan.Expand); ok {
+			expands = append(expands, e)
+		}
+	}
+	if len(expands) != 3 || !pl.BatchedAgg() || pl.Batched != len(pl.Ops)-2 {
+		t.Fatalf("unexpected plan shape:\n%s", p.String())
+	}
+	anon1, anon3 := expands[0].RelVar, expands[2].RelVar
+	live := []string{"a", "b", "c", "d", anon1, "r"}
+
+	ex := New(g, nil, Options{})
+	ex.tab, ex.pl = p.Slots, pl
+	below := pl.Ops[:pl.Batched-1]
+	rows := 0
+	ok, err := ex.pushBatches("a", leaves, below, func(b *result.Batch) error {
+		for _, row := range b.Selection() {
+			rows++
+			for _, name := range live {
+				if s, _ := p.Slots.Slot(name); b.Col(s)[row] == nil {
+					t.Fatalf("kernel left live slot %q unbound", name)
+				}
+			}
+			if s, _ := p.Slots.Slot(anon3); b.Col(s)[row] != nil {
+				t.Fatalf("kernel boxed the dead relationship %q", anon3)
+			}
+		}
+		return nil
+	})
+	if !ok || err != nil || rows != len(leaves) {
+		t.Fatalf("kernels: ok=%v err=%v rows=%d", ok, err, rows)
+	}
+
+	top, err := ex.buildChain(&nodeSource{varName: "a", nodes: leaves}, below)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows = 0
+	if err := ex.run(top, nil, func(r result.Record) error {
+		rows++
+		for _, name := range live {
+			if !r.Has(name) {
+				t.Fatalf("row path left live slot %q unbound", name)
+			}
+		}
+		if r.Has(anon3) {
+			t.Fatalf("row path boxed the dead relationship %q", anon3)
+		}
+		return nil
+	}); err != nil || rows != len(leaves) {
+		t.Fatalf("row path: err=%v rows=%d", err, rows)
+	}
+	if expands[2].RelVar != anon3 {
+		t.Errorf("rebasing must not change the cached plan's operators")
 	}
 }

@@ -109,6 +109,9 @@ type Executor struct {
 	// tab is the slot table of the plan being executed (set by Execute).
 	// It is frozen at plan time, so sharing it across morsel workers is safe.
 	tab *result.SlotTable
+	// pl is the pipeline analysis of the plan being executed (set by
+	// Execute); its slot liveness tells Expand which bindings nobody reads.
+	pl *plan.Pipeline
 	// readOnly reports whether the executing plan cannot mutate the graph.
 	// Read-only expansions iterate the store's live adjacency slices;
 	// mutating plans iterate private copies so a DELETE emitted downstream
@@ -165,6 +168,7 @@ func (ex *Executor) Execute(p *plan.Plan) (tbl *result.Table, err error) {
 	if pl == nil {
 		pl = plan.AnalyzePipeline(p)
 	}
+	ex.pl = pl
 	if ex.opts.Parallelism > 1 && pl.Parallel() {
 		if tbl, done, err := ex.executeParallel(p, pl); done {
 			return tbl, err
@@ -175,8 +179,16 @@ func (ex *Executor) Execute(p *plan.Plan) (tbl *result.Table, err error) {
 			return tbl, err
 		}
 	}
+	root := p.Root
+	if pl.Scan != nil {
+		// The rebased chain drops the relationship bindings nobody reads
+		// (see buildChain); it runs the same operators as p.Root.
+		if top, err := ex.buildChain(pl.Scan, pl.Ops); err == nil {
+			root = top
+		}
+	}
 	tbl = result.NewTable(p.Columns...)
-	err = ex.run(p.Root, nil, func(r result.Record) error {
+	err = ex.run(root, nil, func(r result.Record) error {
 		// The table outlives the emit call; take ownership of the row.
 		if err := ex.qc.ChargeRecord(r); err != nil {
 			return err
@@ -691,6 +703,9 @@ type aggState struct {
 	// aggregators keep every distinct one. Zero for bounded aggregators
 	// (count/sum/min/...), whose state does not grow with the input.
 	retainedRowCost int64
+	// global is the single group of an aggregation without grouping keys,
+	// once opened; rows then skip the key encoding and the map lookup.
+	global *aggGroup
 }
 
 func (ex *Executor) newAggState(o *plan.Aggregate) *aggState {
@@ -704,7 +719,7 @@ func (ex *Executor) newAggState(o *plan.Aggregate) *aggState {
 }
 
 func (s *aggState) newGroup(keyVals []value.Value) (*aggGroup, error) {
-	g := &aggGroup{keyVals: keyVals}
+	g := &aggGroup{keyVals: keyVals, aggs: make([]eval.Aggregator, 0, len(s.o.Aggregations))}
 	for _, a := range s.o.Aggregations {
 		if a.Arg == nil {
 			g.aggs = append(g.aggs, eval.NewCountStarAggregator())
@@ -719,6 +734,46 @@ func (s *aggState) newGroup(keyVals []value.Value) (*aggGroup, error) {
 	return g, nil
 }
 
+// group returns the group of the grouping-key values in keyScratch, opening
+// a new one on first sight, and charges the query for the row's share of
+// aggregator state. The row path (add) and the batch sink (aggSink) both go
+// through it, so they charge the same bytes.
+func (s *aggState) group() (*aggGroup, error) {
+	g := s.global
+	if g == nil {
+		s.keyBuf = value.AppendGroupKeyOf(s.keyBuf[:0], s.keyScratch...)
+		var ok bool
+		g, ok = s.groups[string(s.keyBuf)]
+		if !ok {
+			// A new group materializes its key string, key values and one
+			// aggregator per item; charge before allocating.
+			cost := int64(len(s.keyBuf)) + aggGroupCost + int64(len(s.o.Aggregations))*aggStateCost
+			if err := s.ex.qc.Charge(cost); err != nil {
+				return nil, err
+			}
+			var err error
+			g, err = s.newGroup(append([]value.Value(nil), s.keyScratch...))
+			if err != nil {
+				return nil, err
+			}
+			key := string(s.keyBuf)
+			s.groups[key] = g
+			s.order = append(s.order, key)
+		}
+		if len(s.o.Grouping) == 0 {
+			s.global = g
+		}
+	}
+	if s.retainedRowCost > 0 {
+		// collect()/DISTINCT aggregators grow with their input even within
+		// one group.
+		if err := s.ex.qc.Charge(s.retainedRowCost); err != nil {
+			return nil, err
+		}
+	}
+	return g, nil
+}
+
 // add folds one input row into the state.
 func (s *aggState) add(r result.Record) error {
 	for i, gi := range s.o.Grouping {
@@ -728,30 +783,9 @@ func (s *aggState) add(r result.Record) error {
 		}
 		s.keyScratch[i] = v
 	}
-	s.keyBuf = value.AppendGroupKeyOf(s.keyBuf[:0], s.keyScratch...)
-	g, ok := s.groups[string(s.keyBuf)]
-	if !ok {
-		// A new group materializes its key string, key values and one
-		// aggregator per item; charge before allocating.
-		cost := int64(len(s.keyBuf)) + aggGroupCost + int64(len(s.o.Aggregations))*aggStateCost
-		if err := s.ex.qc.Charge(cost); err != nil {
-			return err
-		}
-		var err error
-		g, err = s.newGroup(append([]value.Value(nil), s.keyScratch...))
-		if err != nil {
-			return err
-		}
-		key := string(s.keyBuf)
-		s.groups[key] = g
-		s.order = append(s.order, key)
-	}
-	if s.retainedRowCost > 0 {
-		// collect()/DISTINCT aggregators grow with their input even within
-		// one group.
-		if err := s.ex.qc.Charge(s.retainedRowCost); err != nil {
-			return err
-		}
+	g, err := s.group()
+	if err != nil {
+		return err
 	}
 	for i, a := range s.o.Aggregations {
 		if a.Arg == nil {

@@ -51,7 +51,9 @@ func (s *rowSource) Source() plan.Operator { return nil }
 // buildChain rebuilds the operator chain (bottom-up order) on top of a new
 // input, shallow-copying each operator. The analysis only admits operator
 // types listed here, so an error indicates a bug rather than a user query.
-func buildChain(input plan.Operator, ops []plan.Operator) (plan.Operator, error) {
+// An Expand whose relationship binding no operator above reads loses its
+// RelVar in the copy, so the row path never boxes it.
+func (ex *Executor) buildChain(input plan.Operator, ops []plan.Operator) (plan.Operator, error) {
 	cur := input
 	for _, op := range ops {
 		switch o := op.(type) {
@@ -62,6 +64,9 @@ func buildChain(input plan.Operator, ops []plan.Operator) (plan.Operator, error)
 		case *plan.Expand:
 			c := *o
 			c.Input = cur
+			if c.RelVar != "" && !ex.pl.ReadAbove(o, c.RelVar) {
+				c.RelVar = ""
+			}
 			cur = &c
 		case *plan.Project:
 			c := *o
@@ -149,17 +154,15 @@ func (ex *Executor) executeParallel(p *plan.Plan, pl *plan.Pipeline) (tbl *resul
 
 	// Each worker pushes its morsel through the batched kernels as far as
 	// both prefixes reach, and runs the remainder of the streaming segment
-	// row-at-a-time.
-	streamOps := pl.Ops[:pl.Streaming]
+	// row-at-a-time. When the batched prefix reaches the partial Aggregate,
+	// the worker's batches fold straight into its partial state.
 	vecK := 0
+	foldAgg := false
 	if ex.batchSize() > 0 {
 		vecK = min(pl.Batched, pl.Streaming)
+		foldAgg = pl.Agg != nil && pl.Batched == pl.Streaming+1
 	}
 
-	type morselOut struct {
-		rows []result.Record
-		agg  *aggState
-	}
 	outs := make([]morselOut, len(morsels))
 	errs := make([]error, workers)
 	var next atomic.Int64
@@ -188,34 +191,9 @@ func (ex *Executor) executeParallel(p *plan.Plan, pl *plan.Pipeline) (tbl *resul
 				// Cancellation check at the morsel boundary: a canceled query
 				// stops all workers within one morsel of work each (the scan
 				// loops inside the morsel tick at row granularity too).
-				var top plan.Operator
 				err := ex.qc.Err()
 				if err == nil {
-					if vecK > 0 {
-						top, err = buildChain(&vecSource{varName: varName, nodes: morsels[i], ops: streamOps[:vecK]}, streamOps[vecK:])
-					} else {
-						top, err = buildChain(&nodeSource{varName: varName, nodes: morsels[i]}, streamOps)
-					}
-				}
-				if err == nil {
-					if pl.Agg != nil {
-						st := ex.newAggState(pl.Agg)
-						err = ex.run(top, nil, st.add)
-						outs[i].agg = st
-					} else {
-						var buf []result.Record
-						err = ex.run(top, nil, func(r result.Record) error {
-							// Rows are borrowed from the worker's pipeline;
-							// the buffer outlives the emit, so copy (and
-							// charge the retained copy against the budget).
-							if err := ex.qc.ChargeRecord(r); err != nil {
-								return err
-							}
-							buf = append(buf, r.Clone())
-							return nil
-						})
-						outs[i].rows = buf
-					}
+					outs[i], err = ex.runMorsel(pl, varName, morsels[i], vecK, foldAgg)
 				}
 				if err != nil {
 					errs[w] = err
@@ -259,7 +237,7 @@ func (ex *Executor) executeParallel(p *plan.Plan, pl *plan.Pipeline) (tbl *resul
 		}
 	}
 
-	top, err := buildChain(&rowSource{rows: rows}, pl.Rest())
+	top, err := ex.buildChain(&rowSource{rows: rows}, pl.Rest())
 	if err != nil {
 		return nil, true, err
 	}
@@ -275,4 +253,46 @@ func (ex *Executor) executeParallel(p *plan.Plan, pl *plan.Pipeline) (tbl *resul
 		return nil, true, err
 	}
 	return tbl, true, nil
+}
+
+// morselOut is one morsel's share of a parallel run: its buffered rows, or
+// its partial aggregation state.
+type morselOut struct {
+	rows []result.Record
+	agg  *aggState
+}
+
+// runMorsel runs the streaming segment of pl over one morsel: batched for
+// the first vecK operators, or all the way into the partial Aggregate when
+// foldAgg is set, and row-at-a-time for the rest.
+func (ex *Executor) runMorsel(pl *plan.Pipeline, varName string, nodes []*graph.Node, vecK int, foldAgg bool) (out morselOut, err error) {
+	if foldAgg {
+		out.agg = ex.newAggState(pl.Agg)
+		return out, ex.foldVectorized(&vecSource{varName: varName, nodes: nodes, ops: pl.Ops[:pl.Batched]}, out.agg)
+	}
+	streamOps := pl.Ops[:pl.Streaming]
+	var top plan.Operator
+	if vecK > 0 {
+		top, err = ex.buildChain(&vecSource{varName: varName, nodes: nodes, ops: streamOps[:vecK]}, streamOps[vecK:])
+	} else {
+		top, err = ex.buildChain(&nodeSource{varName: varName, nodes: nodes}, streamOps)
+	}
+	if err != nil {
+		return out, err
+	}
+	if pl.Agg != nil {
+		out.agg = ex.newAggState(pl.Agg)
+		return out, ex.run(top, nil, out.agg.add)
+	}
+	err = ex.run(top, nil, func(r result.Record) error {
+		// Rows are borrowed from the worker's pipeline; the buffer outlives
+		// the emit, so copy (and charge the retained copy against the
+		// budget).
+		if err := ex.qc.ChargeRecord(r); err != nil {
+			return err
+		}
+		out.rows = append(out.rows, r.Clone())
+		return nil
+	})
+	return out, err
 }

@@ -266,6 +266,10 @@ func (l *Lexer) scanEscapedIdent(line, col int) (Token, error) {
 	return Token{Type: Ident, Text: sb.String(), StrVal: sb.String(), Escaped: true, Line: line, Col: col}, nil
 }
 
+// minIntMagnitude is the decimal magnitude of math.MinInt64, which does not
+// fit an int64 on its own.
+const minIntMagnitude = "9223372036854775808"
+
 func (l *Lexer) scanNumber(line, col int) (Token, error) {
 	start := l.pos
 	isFloat := false
@@ -304,6 +308,9 @@ func (l *Lexer) scanNumber(line, col int) (Token, error) {
 	}
 	i, err := strconv.ParseInt(text, 10, 64)
 	if err != nil {
+		if text == minIntMagnitude {
+			return Token{Type: MinIntMagnitude, Text: text, Line: line, Col: col}, nil
+		}
 		return Token{}, &Error{Line: line, Col: col, Msg: "invalid integer literal " + text}
 	}
 	return Token{Type: Integer, Text: text, IntVal: i, Line: line, Col: col}, nil

@@ -14,6 +14,10 @@ const (
 	Ident
 	Keyword
 	Integer
+	// MinIntMagnitude is the literal 9223372036854775808 (one past
+	// math.MaxInt64), valid only directly under a unary minus, where it is
+	// math.MinInt64.
+	MinIntMagnitude
 	Float
 	StringLit
 	Parameter // $name

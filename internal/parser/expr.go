@@ -1,6 +1,7 @@
 package parser
 
 import (
+	"math"
 	"strings"
 
 	"repro/internal/ast"
@@ -221,6 +222,12 @@ func (p *Parser) parseUnary() (ast.Expr, error) {
 	switch p.peek().Type {
 	case lexer.Minus:
 		p.next()
+		if p.peek().Type == lexer.MinIntMagnitude && !postfixStart(p.peekAt(1).Type) {
+			// -9223372036854775808 is math.MinInt64, whose magnitude alone
+			// overflows an int64.
+			p.next()
+			return &ast.Literal{Value: value.NewInt(math.MinInt64)}, nil
+		}
 		operand, err := p.parseUnary()
 		if err != nil {
 			return nil, err
@@ -241,6 +248,12 @@ func (p *Parser) parseUnary() (ast.Expr, error) {
 		return &ast.UnaryOp{Op: ast.OpPos, Operand: operand}, nil
 	}
 	return p.parsePostfix()
+}
+
+// postfixStart reports whether a token of type t continues an atom as a
+// postfix operator (property access, index or slice, label predicate).
+func postfixStart(t lexer.Type) bool {
+	return t == lexer.Dot || t == lexer.LBracket || t == lexer.Colon
 }
 
 func (p *Parser) parsePostfix() (ast.Expr, error) {
@@ -310,6 +323,8 @@ func (p *Parser) parseAtom() (ast.Expr, error) {
 	case t.Type == lexer.Integer:
 		p.next()
 		return &ast.Literal{Value: value.NewInt(t.IntVal)}, nil
+	case t.Type == lexer.MinIntMagnitude:
+		return nil, p.errorf("invalid integer literal %s", t.Text)
 	case t.Type == lexer.Float:
 		p.next()
 		return &ast.Literal{Value: value.NewFloat(t.FltVal)}, nil

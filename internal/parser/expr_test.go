@@ -1,6 +1,8 @@
 package parser
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/ast"
@@ -381,5 +383,33 @@ func TestParseReduce(t *testing.T) {
 		if _, err := ParseExpression(bad); err == nil {
 			t.Errorf("ParseExpression(%q) should fail", bad)
 		}
+	}
+}
+
+// TestMinInt64Literal checks that a unary minus directly on
+// 9223372036854775808 parses as math.MinInt64, while the bare magnitude, a
+// postfix use of it and a hop count stay errors.
+func TestMinInt64Literal(t *testing.T) {
+	for _, src := range []string{"-9223372036854775808", "- 9223372036854775808"} {
+		lit, ok := parseExpr(t, src).(*ast.Literal)
+		if n, isInt := value.AsInt(lit.Value); !ok || !isInt || n != math.MinInt64 {
+			t.Errorf("%s parsed as %v, want the integer %d", src, lit, int64(math.MinInt64))
+		}
+	}
+	e := parseExpr(t, "1 - -9223372036854775808")
+	if b, ok := e.(*ast.BinaryOp); !ok || b.Op != ast.OpSub {
+		t.Errorf("binary minus over MinInt64 parsed as %T", e)
+	}
+	if e := parseExpr(t, "--9223372036854775808"); e.(*ast.UnaryOp).Op != ast.OpNeg {
+		t.Errorf("negated MinInt64 must stay a negation (it overflows at run time)")
+	}
+	for _, src := range []string{"9223372036854775808", "-9223372036854775808.x", "-9223372036854775808[0]", "-9223372036854775809"} {
+		_, err := ParseExpression(src)
+		if err == nil || !strings.Contains(err.Error(), "invalid integer literal") {
+			t.Errorf("ParseExpression(%q) = %v, want an invalid integer literal error", src, err)
+		}
+	}
+	if _, err := Parse("MATCH (a)-[*9223372036854775808]->(b) RETURN b"); err == nil {
+		t.Errorf("an overflowing hop count must be rejected")
 	}
 }

@@ -46,7 +46,8 @@ func TestAnalyzePipelineClassification(t *testing.T) {
 		// prefix, min(batched, streaming), stops under it.
 		{"limit", &Limit{Input: filter, Count: lit(3)}, 2, 1, "", "Limit(3) depends on serial early exit"},
 		{"skip", &Skip{Input: filter, Count: lit(3)}, 1, 1, "Skip keeps the row path", "Skip(3) depends on serial early exit"},
-		{"aggregate", agg, 1, 1, "Aggregate materializes groups row-at-a-time", ""},
+		// Aggregate is the batched prefix's terminal kernel.
+		{"aggregate", agg, 2, 1, "", ""},
 		{"sort", &Sort{Input: filter, Keys: []SortKey{{Expr: v("n")}}}, 1, 1, "Sort materializes rows", ""},
 		{"distinct", &Distinct{Input: filter, Columns: []string{"n"}}, 1, 1, "Distinct keeps the row path", ""},
 		{"second-scan", &NodeByLabelScan{Input: filter, Var: "t", Label: "Team"},
@@ -225,5 +226,77 @@ func TestPlanStringReportsParallel(t *testing.T) {
 		"vectorized: eligible (batched NodeByLabelScan(n:Person) -> project)\n"
 	if !strings.HasSuffix(p.String(), want) {
 		t.Errorf("analysed plan should print its eligibility:\n%s", p.String())
+	}
+}
+
+// TestAggregateEndsBatchedPrefix checks that nothing above an Aggregate is
+// batched, and that EXPLAIN names the kernel.
+func TestAggregateEndsBatchedPrefix(t *testing.T) {
+	v := func(n string) ast.Expr { return &ast.Variable{Name: n} }
+	scan := &NodeByLabelScan{Input: &Start{}, Var: "n", Label: "Person"}
+	expand := &Expand{Input: scan, FromVar: "n", RelVar: "  rel#1", ToVar: "m", Direction: ast.DirOutgoing}
+	agg := &Aggregate{Input: expand, Aggregations: []AggregationItem{{Name: "c", Func: "count", Arg: v("m")}}}
+	project := &Project{Input: agg, Items: []ProjectionItem{{Name: "x", Expr: v("c")}}}
+	sel := &SelectColumns{Input: project, Columns: []string{"x"}}
+	p := &Plan{Root: sel, Columns: []string{"x"}, ReadOnly: true}
+	p.Pipeline = AnalyzePipeline(p)
+	pl := p.Pipeline
+	if pl.Batched != 2 || !pl.BatchedAgg() || pl.Boundary != "Aggregate ends the batched prefix" {
+		t.Fatalf("batched %d (%q), want the prefix to end at the aggregate", pl.Batched, pl.Boundary)
+	}
+	if pl.Agg != agg || pl.Streaming != 1 {
+		t.Errorf("partial aggregation not captured: streaming %d, agg %v", pl.Streaming, pl.Agg)
+	}
+	want := "vectorized: eligible (batched NodeByLabelScan(n:Person) -> expand -> aggregate; Aggregate ends the batched prefix)\n"
+	if !strings.HasSuffix(p.String(), want) {
+		t.Errorf("EXPLAIN should name the aggregate kernel:\n%s", p.String())
+	}
+}
+
+// TestLivenessReads pins what counts as a read: expressions, uniqueness
+// sets, path construction, ORDER BY keys as column names, the plan's output,
+// and everything below an Optional.
+func TestLivenessReads(t *testing.T) {
+	v := func(n string) ast.Expr { return &ast.Variable{Name: n} }
+	prop := func(n, k string) ast.Expr { return &ast.PropertyAccess{Subject: v(n), Key: k} }
+	scan := &NodeByLabelScan{Input: &Start{}, Var: "a", Label: "P"}
+	e1 := &Expand{Input: scan, FromVar: "a", RelVar: "r1", ToVar: "b"}
+	e2 := &Expand{Input: e1, FromVar: "b", RelVar: "r2", ToVar: "c", UniqueRels: []string{"r1"}}
+	e3 := &Expand{Input: e2, FromVar: "c", RelVar: "r3", ToVar: "d"}
+	pp := &ProjectPath{Input: e3, Var: "p", Part: ast.PatternPart{
+		Nodes: []ast.NodePattern{{Variable: "c"}, {Variable: "d"}},
+		Rels:  []ast.RelationshipPattern{{Variable: "r3"}}}}
+	e4 := &Expand{Input: pp, FromVar: "d", RelVar: "r4", ToVar: "e"}
+	sortOp := &Sort{Input: e4, Keys: []SortKey{{Expr: prop("e", "k")}}}
+	agg := &Aggregate{Input: sortOp, Aggregations: []AggregationItem{{Name: "n", Func: "count", Arg: prop("p", "x")}}}
+	p := &Plan{Root: agg, Columns: []string{"n"}, ReadOnly: true}
+	pl := AnalyzePipeline(p)
+	cases := []struct {
+		op   Operator
+		name string
+		read bool
+	}{
+		{e1, "r1", true},  // e2's uniqueness set
+		{e2, "r2", false}, // anonymous and unread
+		{e2, "c", true},   // e3's source
+		{e3, "r3", true},  // the named path
+		{e4, "r4", false}, // nothing above reads it
+		{e4, "e", true},   // the sort key's expression
+		{e4, "e.k", true}, // the sort key as a column name
+		{sortOp, "p", true},
+		{agg, "n", true}, // the plan's output
+		{agg, "p", false},
+		{&Filter{}, "x", true}, // not in Ops
+	}
+	for _, c := range cases {
+		if got := pl.ReadAbove(c.op, c.name); got != c.read {
+			t.Errorf("ReadAbove(%s, %q) = %v, want %v", c.op.Describe(), c.name, got, c.read)
+		}
+	}
+
+	opt := &Optional{Input: e2, Inner: &Argument{}}
+	pl = AnalyzePipeline(&Plan{Root: opt, Columns: []string{"a"}, ReadOnly: true})
+	if !pl.ReadAbove(e2, "r2") || !pl.ReadAbove(e1, "anything") {
+		t.Errorf("an Optional above must make every name live")
 	}
 }

@@ -8,22 +8,35 @@ package plan
 // Above that leaf the analysis marks two prefixes of the same operator chain:
 //
 //   - the batched prefix: operators with batched kernels (Filter, Project,
-//     Limit, SelectColumns, single-hop Expand); the first operator without
-//     one is the boundary, and everything from it upward runs on the row
-//     path, fed one row at a time from the batch adapter;
+//     Limit, SelectColumns, single-hop Expand, and Aggregate as its terminal
+//     kernel); the first operator without one is the boundary, and
+//     everything from it upward runs on the row path, fed one row at a time
+//     from the batch adapter. An Aggregate ends the prefix: its groups feed
+//     the row path above it once the scan is done;
 //   - the streaming prefix: per-row operators that may run inside a morsel
 //     worker. The first pipeline breaker ends it; an Aggregate there is
 //     evaluated with morsel-local partial states, and everything above runs
 //     serially over the stream merged in morsel order.
 //
 // A morsel worker runs the shorter of the two prefixes batched and the rest
-// of its streaming prefix row-at-a-time. The analysis is purely structural,
-// so the planner computes it once per compiled plan and the executor reuses
-// it on every run (plans are cached).
+// of its streaming prefix row-at-a-time; when the batched prefix reaches the
+// partial Aggregate, the worker's batches fold straight into its partial
+// state.
+//
+// The same walk records slot liveness: for every operator, the names that
+// some operator above it (or the plan's output) may read. Expand leaves a
+// binding nobody reads unwritten, so an anonymous relationship is never
+// boxed. The analysis is purely structural, so the planner computes it once
+// per compiled plan and the executor reuses it on every run (plans are
+// cached).
 
 import (
+	"maps"
 	"slices"
 	"strings"
+
+	"repro/internal/ast"
+	"repro/internal/eval"
 )
 
 // Pipeline is the result of analysing a plan for batched and morsel-driven
@@ -54,6 +67,29 @@ type Pipeline struct {
 	// Serial is the reason the plan falls back to serial execution; "" when
 	// it is parallel-safe. Streaming and Agg are meaningful only then.
 	Serial string
+
+	// readAbove[i] holds the names that Ops[i+1:] or the plan's output may
+	// read; nil means every name (an operator above is not modeled).
+	readAbove []map[string]bool
+}
+
+// ReadAbove reports whether an operator above op, or the plan's output, may
+// read name. It answers true for an operator outside Ops.
+func (p *Pipeline) ReadAbove(op Operator, name string) bool {
+	i := slices.Index(p.Ops, op)
+	if i < 0 || p.readAbove[i] == nil {
+		return true
+	}
+	return p.readAbove[i][name]
+}
+
+// BatchedAgg reports whether the batched prefix ends in an Aggregate.
+func (p *Pipeline) BatchedAgg() bool {
+	if p.Batched == 0 {
+		return false
+	}
+	_, ok := p.Ops[p.Batched-1].(*Aggregate)
+	return ok
 }
 
 // Parallel reports whether the plan can execute with morsel parallelism.
@@ -128,7 +164,7 @@ func classify(op Operator) opClass {
 	case *Optional:
 		return opClass{rowReason: "Optional runs its inner plan per row", role: streaming}
 	case *Aggregate:
-		return opClass{rowReason: "Aggregate materializes groups row-at-a-time", role: barrier}
+		return opClass{kernel: "aggregate", role: barrier}
 	case *Sort:
 		return opClass{rowReason: "Sort materializes rows", role: barrier}
 	case *Distinct:
@@ -181,11 +217,15 @@ func AnalyzePipeline(p *Plan) *Pipeline {
 	for _, op := range pl.Ops {
 		c := classify(op)
 		if batching {
-			if c.kernel != "" {
-				pl.Batched++
-			} else {
+			switch {
+			case pl.BatchedAgg():
+				batching = false
+				pl.Boundary = "Aggregate ends the batched prefix"
+			case c.kernel == "":
 				batching = false
 				pl.Boundary = c.rowReason
+			default:
+				pl.Batched++
 			}
 		}
 		if pl.Serial != "" {
@@ -220,7 +260,99 @@ func AnalyzePipeline(p *Plan) *Pipeline {
 	if pl.Serial == "" && pl.Streaming == 0 && pl.Agg == nil {
 		pl.Serial = "no per-row work above the scan"
 	}
+	pl.readAbove = liveness(pl.Ops, p.Columns)
 	return pl
+}
+
+// liveness walks ops top-down and returns, per operator, the names read by
+// the operators above it or by the plan's output columns. A binding is never
+// removed from the set (a scope cut does not kill it), which only makes the
+// answer more conservative.
+func liveness(ops []Operator, columns []string) []map[string]bool {
+	out := make([]map[string]bool, len(ops))
+	live := make(map[string]bool, len(columns))
+	for _, c := range columns {
+		live[c] = true
+	}
+	for i := len(ops) - 1; i >= 0; i-- {
+		out[i] = live
+		if live == nil {
+			continue
+		}
+		reads, all := operatorReads(ops[i])
+		if all {
+			live = nil
+			continue
+		}
+		if len(reads) > 0 {
+			live = maps.Clone(live)
+			for _, n := range reads {
+				live[n] = true
+			}
+		}
+	}
+	return out
+}
+
+// operatorReads lists the names op reads from its input rows; all is true
+// when op may read any name (Optional hands the whole row to its inner plan)
+// or is not modeled here.
+func operatorReads(op Operator) (reads []string, all bool) {
+	exprs := func(es ...ast.Expr) []string {
+		for _, e := range es {
+			if e != nil {
+				reads = append(reads, eval.Variables(e)...)
+			}
+		}
+		return reads
+	}
+	switch o := op.(type) {
+	case *Filter:
+		return exprs(o.Predicate), false
+	case *Project:
+		for _, it := range o.Items {
+			exprs(it.Expr)
+		}
+		return reads, false
+	case *Aggregate:
+		for _, g := range o.Grouping {
+			exprs(g.Expr)
+		}
+		for _, a := range o.Aggregations {
+			exprs(a.Arg)
+		}
+		return reads, false
+	case *Sort:
+		for _, k := range o.Keys {
+			// The executor reads a key first as a column named after its
+			// text (ORDER BY r.name after RETURN r.name).
+			reads = append(exprs(k.Expr), k.Expr.String())
+		}
+		return reads, false
+	case *Expand:
+		reads = append(reads, o.FromVar)
+		if o.ExpandInto {
+			reads = append(reads, o.ToVar)
+		}
+		reads = append(reads, o.UniqueRels...)
+		reads = append(reads, o.UniqueNodes...)
+		if o.RelProperties != nil {
+			exprs(o.RelProperties)
+		}
+		return reads, false
+	case *SelectColumns:
+		return o.Columns, false
+	case *Distinct:
+		return o.Columns, false
+	case *ProjectPath:
+		return o.Part.Variables(), false
+	case *Unwind:
+		return exprs(o.Expr), false
+	case *Limit, *Skip, *AllNodesScan, *NodeByLabelScan:
+		// SKIP and LIMIT counts are constants; a scan only binds.
+		return nil, false
+	}
+	return nil, true
 }
 
 // describeBatched renders the batched segment for EXPLAIN:

@@ -427,7 +427,11 @@ func (o *Aggregate) Describe() string {
 		if a.Arg == nil {
 			parts = append(parts, a.Name+": count(*)")
 		} else {
-			parts = append(parts, fmt.Sprintf("%s: %s(%s)", a.Name, a.Func, a.Arg.String()))
+			distinct := ""
+			if a.Distinct {
+				distinct = "DISTINCT "
+			}
+			parts = append(parts, fmt.Sprintf("%s: %s(%s%s)", a.Name, a.Func, distinct, a.Arg.String()))
 		}
 	}
 	return "Aggregate(" + strings.Join(parts, ", ") + ")"

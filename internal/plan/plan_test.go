@@ -24,6 +24,7 @@ func TestDescribeAndSource(t *testing.T) {
 	unwind := &Unwind{Input: start, Expr: v("xs"), Alias: "x"}
 	project := &Project{Input: filter, Items: []ProjectionItem{{Name: "name", Expr: v("n")}}}
 	agg := &Aggregate{Input: project, Grouping: []ProjectionItem{{Name: "g", Expr: v("g")}}, Aggregations: []AggregationItem{{Name: "c", Func: "count"}, {Name: "s", Func: "sum", Arg: v("x")}}}
+	aggDistinct := &Aggregate{Input: project, Aggregations: []AggregationItem{{Name: "d", Func: "count", Distinct: true, Arg: v("x")}}}
 	distinct := &Distinct{Input: agg, Columns: []string{"g"}}
 	sortOp := &Sort{Input: distinct, Keys: []SortKey{{Expr: v("g"), Descending: true}}}
 	skip := &Skip{Input: sortOp, Count: lit(1)}
@@ -56,6 +57,7 @@ func TestDescribeAndSource(t *testing.T) {
 		{unwind, "Unwind(xs AS x)", start},
 		{project, "Project(n AS name)", filter},
 		{agg, "Aggregate(g, c: count(*), s: sum(x))", project},
+		{aggDistinct, "Aggregate(d: count(DISTINCT x))", project},
 		{distinct, "Distinct(g)", agg},
 		{sortOp, "Sort(g DESC)", distinct},
 		{skip, "Skip(1)", sortOp},

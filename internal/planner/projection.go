@@ -2,6 +2,7 @@ package planner
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/ast"
 	"repro/internal/eval"
@@ -80,8 +81,11 @@ func (p *Planner) planProjection(input plan.Operator, proj ast.Projection, sc *s
 	}
 	// The scope cut: only the declared columns survive (for the plain
 	// non-aggregated case this also prunes the pre-projection variables that
-	// ORDER BY was still allowed to see).
-	op = &plan.SelectColumns{Input: op, Columns: columns}
+	// ORDER BY was still allowed to see). An aggregating projection with
+	// nothing after it already ends in the same cut.
+	if sel, ok := op.(*plan.SelectColumns); !ok || !slices.Equal(sel.Columns, columns) {
+		op = &plan.SelectColumns{Input: op, Columns: columns}
+	}
 	if where != nil {
 		whereScope := newScope()
 		for _, c := range columns {

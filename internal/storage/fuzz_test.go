@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -107,6 +108,45 @@ func FuzzDecodeBatch(f *testing.F) {
 		}
 		if second, _ := encodeBatch(again); !bytes.Equal(second, canon) {
 			t.Fatalf("re-encoding is not stable:\n%x\n%x", canon, second)
+		}
+	})
+}
+
+// FuzzReadSnapshot checks that no snapshot file panics readSnapshot or makes
+// it allocate far beyond the file's size, and that every failure is typed:
+// ErrCorrupt, or an end-of-file error for a file shorter than its magic.
+// The seeds are the committed golden snapshot and its truncations. Fuzz it
+// with
+//
+//	go test -run '^$' -fuzz '^FuzzReadSnapshot$' -fuzztime 10s ./internal/storage
+func FuzzReadSnapshot(f *testing.F) {
+	golden, err := os.ReadFile(goldenSnapshot)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden)
+	for _, n := range []int{0, 4, len(snapMagic), len(snapMagic) + entryHeaderSize, len(golden) / 2, len(golden) - 1} {
+		f.Add(golden[:n])
+	}
+	// A frame header claiming 768 MiB with no body: it used to size the
+	// payload buffer from the claim.
+	f.Add(append(append([]byte(nil), snapMagic...), 0, 0, 0, 0x30, 0, 0, 0, 0))
+	path := filepath.Join(f.TempDir(), snapshotName(1))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		if err := os.WriteFile(path, in, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := readSnapshot(path)
+		runtime.ReadMemStats(&after)
+		if err != nil && !errors.Is(err, ErrCorrupt) && !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("untyped error: %v", err)
+		}
+		// Decoded records may take a few hundred bytes per input byte; an
+		// allocation sized from a claimed count or length would not fit.
+		if n := after.TotalAlloc - before.TotalAlloc; n > 256*uint64(len(in))+4<<20 {
+			t.Fatalf("readSnapshot allocated %d bytes for a %d-byte file", n, len(in))
 		}
 	})
 }

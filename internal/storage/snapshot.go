@@ -149,7 +149,9 @@ func writeSnapshot(dir string, img snapshotImage) (string, error) {
 
 // readFrame reads one [length][crc][payload] frame. io.EOF at a frame
 // boundary is returned as io.EOF; anything else wrong is ErrCorrupt.
-func readFrame(f io.Reader) ([]byte, error) {
+// limit bounds the claimed payload length (the snapshot file's size), so a
+// corrupt length never sizes an allocation the file could not fill.
+func readFrame(f io.Reader, limit int64) ([]byte, error) {
 	var hdr [entryHeaderSize]byte
 	if _, err := io.ReadFull(f, hdr[:]); err != nil {
 		if err == io.EOF {
@@ -159,7 +161,7 @@ func readFrame(f io.Reader) ([]byte, error) {
 	}
 	length := binary.LittleEndian.Uint32(hdr[0:4])
 	wantCRC := binary.LittleEndian.Uint32(hdr[4:8])
-	if length > maxEntrySize {
+	if length > maxEntrySize || int64(length) > limit {
 		return nil, fmt.Errorf("%w: frame length %d out of range", ErrCorrupt, length)
 	}
 	payload := make([]byte, length)
@@ -180,7 +182,12 @@ func readSnapshot(path string) (snapshotImage, error) {
 		return img, fmt.Errorf("storage: open snapshot: %w", err)
 	}
 	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<20)
+	fi, err := f.Stat()
+	if err != nil {
+		return img, fmt.Errorf("storage: stat snapshot: %w", err)
+	}
+	size := fi.Size()
+	br := bufio.NewReaderSize(f, int(min(size, 1<<20)))
 	magic := make([]byte, len(snapMagic))
 	if _, err := io.ReadFull(br, magic); err != nil {
 		return img, fmt.Errorf("storage: snapshot too short: %w", err)
@@ -188,7 +195,7 @@ func readSnapshot(path string) (snapshotImage, error) {
 	if string(magic) != string(snapMagic) {
 		return img, fmt.Errorf("%w: bad snapshot magic %q", ErrCorrupt, magic)
 	}
-	header, err := readFrame(br)
+	header, err := readFrame(br, size)
 	if err != nil {
 		return img, fmt.Errorf("storage: snapshot header: %w", err)
 	}
@@ -210,14 +217,12 @@ func readSnapshot(path string) (snapshotImage, error) {
 		return img, fmt.Errorf("%w: %d trailing bytes in snapshot header", ErrCorrupt, d.remaining())
 	}
 	// The record count sizes an allocation, so it must fit the file.
-	if fi, err := f.Stat(); err != nil {
-		return img, fmt.Errorf("storage: stat snapshot: %w", err)
-	} else if int64(total)*minMutationSize > fi.Size() {
-		return img, fmt.Errorf("%w: snapshot header promises %d records in a %d-byte file", ErrCorrupt, total, fi.Size())
+	if int64(total)*minMutationSize > size {
+		return img, fmt.Errorf("%w: snapshot header promises %d records in a %d-byte file", ErrCorrupt, total, size)
 	}
 	img.Mutations = make([]graph.Mutation, 0, total)
 	for {
-		payload, err := readFrame(br)
+		payload, err := readFrame(br, size)
 		if err == io.EOF {
 			break
 		}

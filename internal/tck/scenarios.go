@@ -1,5 +1,7 @@
 package tck
 
+import "math"
+
 // BuiltinScenarios is a conformance suite over the core language, organised
 // roughly like the openCypher TCK feature areas: match, optional match,
 // where, with, return, unwind, union, aggregation, expressions, and updates.
@@ -284,6 +286,17 @@ func BuiltinScenarios() []Scenario {
 		{
 			Name:        "unknown function is rejected",
 			Query:       "UNWIND [] AS x RETURN foo(x)",
+			ExpectError: true,
+		},
+		{
+			Name:    "the smallest integer literal",
+			Query:   "RETURN -9223372036854775808 AS min, -9223372036854775808 = -9223372036854775807 - 1 AS same",
+			Columns: []string{"min", "same"},
+			Rows:    [][]any{{math.MinInt64, true}},
+		},
+		{
+			Name:        "an integer literal beyond the largest integer is rejected",
+			Query:       "RETURN 9223372036854775808 AS x",
 			ExpectError: true,
 		},
 
