@@ -19,15 +19,20 @@ package exec
 //   - Expand gathers the batch's source nodes and amortizes the
 //     direction/type dispatch across the whole batch via
 //     graph.EachRelationshipBatch, appending matches to a pooled output
-//     batch;
+//     batch; a relationship or target slot that no operator above reads
+//     (plan.Pipeline.ReadAbove) is left unbound, so it is never boxed;
 //   - Limit truncates the selection vector and stops the scan through a
 //     sentinel error;
 //   - SelectColumns binds the kept columns (unbound -> null, like the row
-//     path) and clears the rest.
+//     path) and clears the rest;
+//   - Aggregate, always the last kernel, is a sink (aggSink) that folds
+//     each selected row into the aggState group table with keys and
+//     arguments compiled once; its groups feed the row path above once the
+//     scan is done (morsel workers keep theirs as partial states).
 //
-// At the top of the batched segment a row adapter loads each selected row
-// into a reused view record and feeds the remaining operators' proven
-// row-at-a-time path. The borrowed-row discipline generalizes to batches:
+// Otherwise, at the top of the batched segment a row adapter loads each
+// selected row into a reused view record and feeds the remaining
+// operators' proven row-at-a-time path. The borrowed-row discipline generalizes to batches:
 // a batch passed to a kernel's emit is only valid for the duration of the
 // call, and batches come from a package-level pool (executors are
 // per-query; pooling across queries is what keeps warm batched scans
@@ -807,7 +812,7 @@ func (ex *Executor) runVectorized(o *vecSource, emit emitFn) error {
 		}
 	}
 	view := result.NewSlotted(ex.tab)
-	ok, err := ex.pushBatches(o.varName, o.nodes, o.ops, func(b *result.Batch) error {
+	ok, err := ex.pushBatches(o, o.ops, func(b *result.Batch) error {
 		for _, row := range b.Selection() {
 			b.LoadRecord(&view, row)
 			if err := emit(view); err != nil {
@@ -817,7 +822,7 @@ func (ex *Executor) runVectorized(o *vecSource, emit emitFn) error {
 		return nil
 	})
 	if !ok && err == nil {
-		return ex.runVecRowFallback(o, emit)
+		return ex.runVecRowFallback(o, o.ops, emit)
 	}
 	return err
 }
@@ -827,26 +832,24 @@ func (ex *Executor) runVectorized(o *vecSource, emit emitFn) error {
 // state).
 func (ex *Executor) foldVectorized(o *vecSource, st *aggState) error {
 	ops := o.ops[:len(o.ops)-1]
-	ok, err := ex.pushBatches(o.varName, o.nodes, ops, ex.newAggSink(st).push)
+	ok, err := ex.pushBatches(o, ops, ex.newAggSink(st).push)
 	if ok || err != nil {
 		return err
 	}
-	top, err := ex.buildChain(&nodeSource{varName: o.varName, nodes: o.nodes}, ops)
-	if err != nil {
-		return err
-	}
-	return ex.run(top, nil, st.add)
+	return ex.runVecRowFallback(o, ops, st.add)
 }
 
-// pushBatches chunks the node set into batches and pushes each through the
-// batched kernels of ops into sink. ok=false, with nothing pushed, means the
-// kernels reject the shape and the caller should take the row path.
-func (ex *Executor) pushBatches(varName string, nodes []*graph.Node, ops []plan.Operator, sink batchEmit) (ok bool, err error) {
+// pushBatches chunks the source's node set into batches and pushes each
+// through the batched kernels of ops (a prefix of o.ops) into sink.
+// ok=false, with nothing pushed, means the kernels reject the shape and the
+// caller should take the row path.
+func (ex *Executor) pushBatches(o *vecSource, ops []plan.Operator, sink batchEmit) (ok bool, err error) {
 	size := ex.batchSize()
 	if size <= 0 {
 		size = DefaultBatchSize
 	}
-	scanSlot, ok := ex.tab.Slot(varName)
+	nodes := o.nodes
+	scanSlot, ok := ex.tab.Slot(o.varName)
 	if !ok {
 		return false, nil
 	}
@@ -917,12 +920,12 @@ func (ex *Executor) pushBatches(varName string, nodes []*graph.Node, ops []plan.
 	return true, nil
 }
 
-// runVecRowFallback runs the vecSource's segment on the row path (a
-// hand-built plan can carry shapes the kernels reject, e.g. names without
-// slots). Semantics are identical by construction: this is exactly the
-// morsel worker's nodeSource chain.
-func (ex *Executor) runVecRowFallback(o *vecSource, emit emitFn) error {
-	top, err := ex.buildChain(&nodeSource{varName: o.varName, nodes: o.nodes}, o.ops)
+// runVecRowFallback runs ops, a prefix of the vecSource's segment, on the
+// row path (a hand-built plan can carry shapes the kernels reject, e.g.
+// names without slots). Semantics are identical by construction: this is
+// exactly the morsel worker's nodeSource chain.
+func (ex *Executor) runVecRowFallback(o *vecSource, ops []plan.Operator, emit emitFn) error {
+	top, err := ex.buildChain(&nodeSource{varName: o.varName, nodes: o.nodes}, ops)
 	if err != nil {
 		return err
 	}

@@ -363,7 +363,7 @@ func TestExpandLeavesDeadSlotsUnwritten(t *testing.T) {
 	ex.tab, ex.pl = p.Slots, pl
 	below := pl.Ops[:pl.Batched-1]
 	rows := 0
-	ok, err := ex.pushBatches("a", leaves, below, func(b *result.Batch) error {
+	ok, err := ex.pushBatches(&vecSource{varName: "a", nodes: leaves}, below, func(b *result.Batch) error {
 		for _, row := range b.Selection() {
 			rows++
 			for _, name := range live {

@@ -31,7 +31,6 @@ package plan
 // cached).
 
 import (
-	"maps"
 	"slices"
 	"strings"
 
@@ -68,19 +67,22 @@ type Pipeline struct {
 	// it is parallel-safe. Streaming and Agg are meaningful only then.
 	Serial string
 
-	// readAbove[i] holds the names that Ops[i+1:] or the plan's output may
-	// read; nil means every name (an operator above is not modeled).
-	readAbove []map[string]bool
+	// lastRead maps each name an operator of Ops reads to the index of the
+	// last one that does (len(Ops) for the plan's output columns); readsAll
+	// is the index of the last operator that may read any name, -1 if none.
+	lastRead map[string]int
+	readsAll int
 }
 
 // ReadAbove reports whether an operator above op, or the plan's output, may
 // read name. It answers true for an operator outside Ops.
 func (p *Pipeline) ReadAbove(op Operator, name string) bool {
 	i := slices.Index(p.Ops, op)
-	if i < 0 || p.readAbove[i] == nil {
+	if i < 0 || p.readsAll > i {
 		return true
 	}
-	return p.readAbove[i][name]
+	last, ok := p.lastRead[name]
+	return ok && last > i
 }
 
 // BatchedAgg reports whether the batched prefix ends in an Aggregate.
@@ -260,99 +262,110 @@ func AnalyzePipeline(p *Plan) *Pipeline {
 	if pl.Serial == "" && pl.Streaming == 0 && pl.Agg == nil {
 		pl.Serial = "no per-row work above the scan"
 	}
-	pl.readAbove = liveness(pl.Ops, p.Columns)
+	pl.liveness(p.Columns)
 	return pl
 }
 
-// liveness walks ops top-down and returns, per operator, the names read by
-// the operators above it or by the plan's output columns. A binding is never
-// removed from the set (a scope cut does not kill it), which only makes the
-// answer more conservative.
-func liveness(ops []Operator, columns []string) []map[string]bool {
-	out := make([]map[string]bool, len(ops))
-	live := make(map[string]bool, len(columns))
+// liveness records, for every name the operators of Ops or the plan's
+// output read, the last reader. A name is never dropped at a scope cut,
+// which only errs on the side of binding.
+func (p *Pipeline) liveness(columns []string) {
+	p.lastRead = make(map[string]int)
+	p.readsAll = -1
+	for i, op := range p.Ops {
+		read := func(name string) { p.lastRead[name] = i }
+		if !operatorReads(op, read) {
+			p.readsAll = i
+		}
+	}
 	for _, c := range columns {
-		live[c] = true
+		p.lastRead[c] = len(p.Ops)
 	}
-	for i := len(ops) - 1; i >= 0; i-- {
-		out[i] = live
-		if live == nil {
-			continue
-		}
-		reads, all := operatorReads(ops[i])
-		if all {
-			live = nil
-			continue
-		}
-		if len(reads) > 0 {
-			live = maps.Clone(live)
-			for _, n := range reads {
-				live[n] = true
-			}
-		}
-	}
-	return out
 }
 
-// operatorReads lists the names op reads from its input rows; all is true
-// when op may read any name (Optional hands the whole row to its inner plan)
-// or is not modeled here.
-func operatorReads(op Operator) (reads []string, all bool) {
-	exprs := func(es ...ast.Expr) []string {
-		for _, e := range es {
-			if e != nil {
-				reads = append(reads, eval.Variables(e)...)
-			}
+// operatorReads calls read for every name op reads from its input rows. It
+// returns false when op may read any name: Optional hands the whole row to
+// its inner plan, and operators not modeled here are assumed to.
+func operatorReads(op Operator, read func(string)) bool {
+	names := func(ns []string) {
+		for _, n := range ns {
+			read(n)
 		}
-		return reads
 	}
 	switch o := op.(type) {
 	case *Filter:
-		return exprs(o.Predicate), false
+		exprReads(o.Predicate, read)
 	case *Project:
 		for _, it := range o.Items {
-			exprs(it.Expr)
+			exprReads(it.Expr, read)
 		}
-		return reads, false
 	case *Aggregate:
 		for _, g := range o.Grouping {
-			exprs(g.Expr)
+			exprReads(g.Expr, read)
 		}
 		for _, a := range o.Aggregations {
-			exprs(a.Arg)
+			exprReads(a.Arg, read)
 		}
-		return reads, false
 	case *Sort:
 		for _, k := range o.Keys {
+			exprReads(k.Expr, read)
 			// The executor reads a key first as a column named after its
 			// text (ORDER BY r.name after RETURN r.name).
-			reads = append(exprs(k.Expr), k.Expr.String())
+			read(k.Expr.String())
 		}
-		return reads, false
 	case *Expand:
-		reads = append(reads, o.FromVar)
+		read(o.FromVar)
 		if o.ExpandInto {
-			reads = append(reads, o.ToVar)
+			read(o.ToVar)
 		}
-		reads = append(reads, o.UniqueRels...)
-		reads = append(reads, o.UniqueNodes...)
+		names(o.UniqueRels)
+		names(o.UniqueNodes)
 		if o.RelProperties != nil {
-			exprs(o.RelProperties)
+			exprReads(o.RelProperties, read)
 		}
-		return reads, false
 	case *SelectColumns:
-		return o.Columns, false
+		names(o.Columns)
 	case *Distinct:
-		return o.Columns, false
+		names(o.Columns)
 	case *ProjectPath:
-		return o.Part.Variables(), false
+		names(o.Part.Variables())
 	case *Unwind:
-		return exprs(o.Expr), false
+		exprReads(o.Expr, read)
 	case *Limit, *Skip, *AllNodesScan, *NodeByLabelScan:
 		// SKIP and LIMIT counts are constants; a scan only binds.
-		return nil, false
+	default:
+		return false
 	}
-	return nil, true
+	return true
+}
+
+// exprReads calls read for every variable e mentions, pattern predicates
+// included. A name bound inside e (a list comprehension's or reduce's
+// variable) counts too, which only errs on the side of binding.
+func exprReads(e ast.Expr, read func(string)) {
+	if e == nil {
+		return
+	}
+	eval.WalkExpr(e, func(x ast.Expr) {
+		switch x := x.(type) {
+		case *ast.Variable:
+			read(x.Name)
+		case *ast.PatternPredicate:
+			for _, v := range x.Pattern.Variables() {
+				read(v)
+			}
+			for _, np := range x.Pattern.Nodes {
+				if np.Properties != nil {
+					exprReads(np.Properties, read)
+				}
+			}
+			for _, rp := range x.Pattern.Rels {
+				if rp.Properties != nil {
+					exprReads(rp.Properties, read)
+				}
+			}
+		}
+	})
 }
 
 // describeBatched renders the batched segment for EXPLAIN:
