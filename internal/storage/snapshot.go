@@ -187,7 +187,7 @@ func readSnapshot(path string) (snapshotImage, error) {
 		return img, fmt.Errorf("storage: stat snapshot: %w", err)
 	}
 	size := fi.Size()
-	br := bufio.NewReaderSize(f, int(min(size, 1<<20)))
+	br := bufio.NewReaderSize(f, 1<<20)
 	magic := make([]byte, len(snapMagic))
 	if _, err := io.ReadFull(br, magic); err != nil {
 		return img, fmt.Errorf("storage: snapshot too short: %w", err)
