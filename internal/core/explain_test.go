@@ -141,7 +141,7 @@ runtime parallelism: 1
   + Project(cid AS cid,   agg#1 AS n) [rows~1.0 cost~34]
     + Aggregate(cid,   agg#1: count(p)) [rows~1.0 cost~33]
       + Filter(p:Person) [rows~4.5 cost~28]
-        + Expand((c)<--[  rel#1:WORKS_AT](p)) [rows~9.1 cost~19]
+        + Expand((c)<--[:WORKS_AT](p)) [rows~9.1 cost~19]
           + NodeByLabelScan(c:Company) [rows~10 cost~10]
             + Start [rows~1.0 cost~0.0]
 parallel: eligible (morsel-driven NodeByLabelScan(c:Company), partial aggregation)
@@ -154,7 +154,7 @@ runtime parallelism: 1
 			want: `+ SelectColumns(c) [rows~1.0 cost~5.8]
   + Project(  agg#1 AS c) [rows~1.0 cost~4.8]
     + Aggregate(  agg#1: count(c)) [rows~1.0 cost~3.8]
-      + ExpandInto((c)<--[  rel#2:WORKS_AT](b)) [rows~0.0 cost~3.8]
+      + ExpandInto((c)<--[:WORKS_AT](b)) [rows~0.0 cost~3.8]
         + Expand((a)-->[  rel#1:WORKS_AT](c)) [rows~0.9 cost~2.9]
           + NodeIndexSeek(b:Person {age = 11}) [rows~1.0 cost~2.0]
             + NodeIndexSeek(a:Person {age = 1}) [rows~1.0 cost~1.0]
@@ -170,7 +170,7 @@ runtime parallelism: 1
   + Project(  agg#1 AS ages) [rows~1.0 cost~34]
     + Aggregate(  agg#1: count(DISTINCT p.age)) [rows~1.0 cost~33]
       + Filter(p:Person) [rows~4.5 cost~28]
-        + Expand((c)<--[  rel#1:WORKS_AT](p)) [rows~9.1 cost~19]
+        + Expand((c)<--[:WORKS_AT](p)) [rows~9.1 cost~19]
           + NodeByLabelScan(c:Company) [rows~10 cost~10]
             + Start [rows~1.0 cost~0.0]
 parallel: eligible (morsel-driven NodeByLabelScan(c:Company), partial aggregation)

@@ -84,26 +84,11 @@ func (c *Context) compileBatchExpr(e ast.Expr, tab *result.SlotTable) (BatchExpr
 			return v, nil
 		}, true
 	case *ast.PropertyAccess:
-		key := x.Key
-		if v, isVar := x.Subject.(*ast.Variable); isVar {
-			// var.key, the common case, reads the slot in the same closure.
-			slot, ok := tab.Slot(v.Name)
-			if !ok {
-				return nil, false
-			}
-			name := v.Name
-			return func(b *result.Batch, row int32) (value.Value, error) {
-				sv := b.Col(slot)[row]
-				if sv == nil {
-					return nil, fmt.Errorf("%w: %s", ErrUnknownVariable, name)
-				}
-				return PropertyOf(sv, key)
-			}, true
-		}
 		subject, ok := c.compileBatchExpr(x.Subject, tab)
 		if !ok {
 			return nil, false
 		}
+		key := x.Key
 		return func(b *result.Batch, row int32) (value.Value, error) {
 			sv, err := subject(b, row)
 			if err != nil {

@@ -693,6 +693,11 @@ func Variables(e ast.Expr) []string {
 					walk(np.Properties)
 				}
 			}
+			for _, rp := range x.Pattern.Rels {
+				if rp.Properties != nil {
+					walk(rp.Properties)
+				}
+			}
 		case *ast.PropertyAccess:
 			walk(x.Subject)
 		case *ast.ListLiteral:

@@ -2,6 +2,7 @@ package eval
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -341,6 +342,10 @@ func TestContainsAggregateAndVariables(t *testing.T) {
 	}
 	if vs := Variables(parse("(a)-[:KNOWS]->(b)")); len(vs) != 2 {
 		t.Errorf("pattern predicate variables = %v", vs)
+	}
+	// Property maps inside a pattern predicate read outer variables too.
+	if vs := Variables(parse("(a {k: x.k})-[:KNOWS {since: y}]->(b)")); !slices.Equal(vs, []string{"a", "b", "x", "y"}) {
+		t.Errorf("pattern predicate property variables = %v", vs)
 	}
 }
 

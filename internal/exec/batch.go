@@ -19,8 +19,8 @@ package exec
 //   - Expand gathers the batch's source nodes and amortizes the
 //     direction/type dispatch across the whole batch via
 //     graph.EachRelationshipBatch, appending matches to a pooled output
-//     batch; a relationship or target slot that no operator above reads
-//     (plan.Pipeline.ReadAbove) is left unbound, so it is never boxed;
+//     batch; a relationship or target that no operator above reads
+//     (plan.Pipeline.DropDeadBindings) is left unbound, so it is never boxed;
 //   - Limit truncates the selection vector and stops the scan through a
 //     sentinel error;
 //   - SelectColumns binds the kept columns (unbound -> null, like the row
@@ -559,12 +559,9 @@ func (ex *Executor) buildExpandKernel(o *plan.Expand, bp *batchPipeline, emit ba
 			return nil, false, nil
 		}
 	}
-	// A binding no operator above reads is left unbound: an anonymous
-	// relationship, or an endpoint only counted, is never boxed.
-	if relSlot >= 0 && !ex.pl.ReadAbove(o, o.RelVar) {
-		relSlot = -1
-	}
-	if !ex.pl.ReadAbove(o, o.ToVar) {
+	// A target no operator above reads is left unbound (the planner already
+	// dropped an unread relationship's RelVar).
+	if o.ToUnread {
 		toSlot = -1
 	}
 	dir := toGraphDirection(o.Direction)
@@ -779,7 +776,7 @@ func (ex *Executor) executeVectorized(p *plan.Plan, pl *plan.Pipeline) (tbl *res
 	if !ok {
 		return nil, false, nil
 	}
-	top, err := ex.buildChain(&vecSource{varName: varName, nodes: nodes, ops: pl.Ops[:pl.Batched]}, pl.Ops[pl.Batched:])
+	top, err := buildChain(&vecSource{varName: varName, nodes: nodes, ops: pl.Ops[:pl.Batched]}, pl.Ops[pl.Batched:])
 	if err != nil {
 		return nil, false, nil
 	}
@@ -925,7 +922,7 @@ func (ex *Executor) pushBatches(o *vecSource, ops []plan.Operator, sink batchEmi
 // names without slots). Semantics are identical by construction: this is
 // exactly the morsel worker's nodeSource chain.
 func (ex *Executor) runVecRowFallback(o *vecSource, ops []plan.Operator, emit emitFn) error {
-	top, err := ex.buildChain(&nodeSource{varName: o.varName, nodes: o.nodes}, ops)
+	top, err := buildChain(&nodeSource{varName: o.varName, nodes: o.nodes}, ops)
 	if err != nil {
 		return err
 	}

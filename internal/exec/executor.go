@@ -109,9 +109,6 @@ type Executor struct {
 	// tab is the slot table of the plan being executed (set by Execute).
 	// It is frozen at plan time, so sharing it across morsel workers is safe.
 	tab *result.SlotTable
-	// pl is the pipeline analysis of the plan being executed (set by
-	// Execute); its slot liveness tells Expand which bindings nobody reads.
-	pl *plan.Pipeline
 	// readOnly reports whether the executing plan cannot mutate the graph.
 	// Read-only expansions iterate the store's live adjacency slices;
 	// mutating plans iterate private copies so a DELETE emitted downstream
@@ -168,7 +165,6 @@ func (ex *Executor) Execute(p *plan.Plan) (tbl *result.Table, err error) {
 	if pl == nil {
 		pl = plan.AnalyzePipeline(p)
 	}
-	ex.pl = pl
 	if ex.opts.Parallelism > 1 && pl.Parallel() {
 		if tbl, done, err := ex.executeParallel(p, pl); done {
 			return tbl, err
@@ -179,16 +175,8 @@ func (ex *Executor) Execute(p *plan.Plan) (tbl *result.Table, err error) {
 			return tbl, err
 		}
 	}
-	root := p.Root
-	if pl.Scan != nil {
-		// The rebased chain drops the relationship bindings nobody reads
-		// (see buildChain); it runs the same operators as p.Root.
-		if top, err := ex.buildChain(pl.Scan, pl.Ops); err == nil {
-			root = top
-		}
-	}
 	tbl = result.NewTable(p.Columns...)
-	err = ex.run(root, nil, func(r result.Record) error {
+	err = ex.run(p.Root, nil, func(r result.Record) error {
 		// The table outlives the emit call; take ownership of the row.
 		if err := ex.qc.ChargeRecord(r); err != nil {
 			return err

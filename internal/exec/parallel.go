@@ -51,9 +51,7 @@ func (s *rowSource) Source() plan.Operator { return nil }
 // buildChain rebuilds the operator chain (bottom-up order) on top of a new
 // input, shallow-copying each operator. The analysis only admits operator
 // types listed here, so an error indicates a bug rather than a user query.
-// An Expand whose relationship binding no operator above reads loses its
-// RelVar in the copy, so the row path never boxes it.
-func (ex *Executor) buildChain(input plan.Operator, ops []plan.Operator) (plan.Operator, error) {
+func buildChain(input plan.Operator, ops []plan.Operator) (plan.Operator, error) {
 	cur := input
 	for _, op := range ops {
 		switch o := op.(type) {
@@ -64,9 +62,6 @@ func (ex *Executor) buildChain(input plan.Operator, ops []plan.Operator) (plan.O
 		case *plan.Expand:
 			c := *o
 			c.Input = cur
-			if c.RelVar != "" && !ex.pl.ReadAbove(o, c.RelVar) {
-				c.RelVar = ""
-			}
 			cur = &c
 		case *plan.Project:
 			c := *o
@@ -237,7 +232,7 @@ func (ex *Executor) executeParallel(p *plan.Plan, pl *plan.Pipeline) (tbl *resul
 		}
 	}
 
-	top, err := ex.buildChain(&rowSource{rows: rows}, pl.Rest())
+	top, err := buildChain(&rowSource{rows: rows}, pl.Rest())
 	if err != nil {
 		return nil, true, err
 	}
@@ -273,9 +268,9 @@ func (ex *Executor) runMorsel(pl *plan.Pipeline, varName string, nodes []*graph.
 	streamOps := pl.Ops[:pl.Streaming]
 	var top plan.Operator
 	if vecK > 0 {
-		top, err = ex.buildChain(&vecSource{varName: varName, nodes: nodes, ops: streamOps[:vecK]}, streamOps[vecK:])
+		top, err = buildChain(&vecSource{varName: varName, nodes: nodes, ops: streamOps[:vecK]}, streamOps[vecK:])
 	} else {
-		top, err = ex.buildChain(&nodeSource{varName: varName, nodes: nodes}, streamOps)
+		top, err = buildChain(&nodeSource{varName: varName, nodes: nodes}, streamOps)
 	}
 	if err != nil {
 		return out, err

@@ -24,11 +24,11 @@ package plan
 // state.
 //
 // The same walk records slot liveness: for every operator, the names that
-// some operator above it (or the plan's output) may read. Expand leaves a
-// binding nobody reads unwritten, so an anonymous relationship is never
-// boxed. The analysis is purely structural, so the planner computes it once
-// per compiled plan and the executor reuses it on every run (plans are
-// cached).
+// some operator above it (or the plan's output) may read. The planner
+// applies it once (DropDeadBindings), so Expand leaves a binding nobody
+// reads unwritten and an anonymous relationship is never boxed. The
+// analysis is purely structural, so the planner computes it once per
+// compiled plan and the executor reuses it on every run (plans are cached).
 
 import (
 	"slices"
@@ -292,23 +292,24 @@ func operatorReads(op Operator, read func(string)) bool {
 			read(n)
 		}
 	}
+	expr := func(e ast.Expr) { names(eval.Variables(e)) }
 	switch o := op.(type) {
 	case *Filter:
-		exprReads(o.Predicate, read)
+		expr(o.Predicate)
 	case *Project:
 		for _, it := range o.Items {
-			exprReads(it.Expr, read)
+			expr(it.Expr)
 		}
 	case *Aggregate:
 		for _, g := range o.Grouping {
-			exprReads(g.Expr, read)
+			expr(g.Expr)
 		}
 		for _, a := range o.Aggregations {
-			exprReads(a.Arg, read)
+			expr(a.Arg)
 		}
 	case *Sort:
 		for _, k := range o.Keys {
-			exprReads(k.Expr, read)
+			expr(k.Expr)
 			// The executor reads a key first as a column named after its
 			// text (ORDER BY r.name after RETURN r.name).
 			read(k.Expr.String())
@@ -321,7 +322,7 @@ func operatorReads(op Operator, read func(string)) bool {
 		names(o.UniqueRels)
 		names(o.UniqueNodes)
 		if o.RelProperties != nil {
-			exprReads(o.RelProperties, read)
+			expr(o.RelProperties)
 		}
 	case *SelectColumns:
 		names(o.Columns)
@@ -330,7 +331,7 @@ func operatorReads(op Operator, read func(string)) bool {
 	case *ProjectPath:
 		names(o.Part.Variables())
 	case *Unwind:
-		exprReads(o.Expr, read)
+		expr(o.Expr)
 	case *Limit, *Skip, *AllNodesScan, *NodeByLabelScan:
 		// SKIP and LIMIT counts are constants; a scan only binds.
 	default:
@@ -339,33 +340,22 @@ func operatorReads(op Operator, read func(string)) bool {
 	return true
 }
 
-// exprReads calls read for every variable e mentions, pattern predicates
-// included. A name bound inside e (a list comprehension's or reduce's
-// variable) counts too, which only errs on the side of binding.
-func exprReads(e ast.Expr, read func(string)) {
-	if e == nil {
-		return
-	}
-	eval.WalkExpr(e, func(x ast.Expr) {
-		switch x := x.(type) {
-		case *ast.Variable:
-			read(x.Name)
-		case *ast.PatternPredicate:
-			for _, v := range x.Pattern.Variables() {
-				read(v)
-			}
-			for _, np := range x.Pattern.Nodes {
-				if np.Properties != nil {
-					exprReads(np.Properties, read)
-				}
-			}
-			for _, rp := range x.Pattern.Rels {
-				if rp.Properties != nil {
-					exprReads(rp.Properties, read)
-				}
-			}
+// DropDeadBindings applies slot liveness to the plan's operators: an Expand
+// whose relationship no operator above reads loses its RelVar, so neither
+// the expand kernel nor the row path boxes it, and one whose target nobody
+// reads is marked ToUnread, so the kernel leaves that slot unbound. The
+// planner calls it once, before the plan gets its slots and is cached.
+func (p *Pipeline) DropDeadBindings() {
+	for _, op := range p.Ops {
+		o, ok := op.(*Expand)
+		if !ok {
+			continue
 		}
-	})
+		if o.RelVar != "" && !p.ReadAbove(o, o.RelVar) {
+			o.RelVar = ""
+		}
+		o.ToUnread = !o.ExpandInto && !p.ReadAbove(o, o.ToVar)
+	}
 }
 
 // describeBatched renders the batched segment for EXPLAIN:

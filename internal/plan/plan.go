@@ -217,6 +217,9 @@ type Expand struct {
 	// UniqueNodes lists node variables bound earlier in the same MATCH
 	// clause; used only under node-isomorphism matching semantics.
 	UniqueNodes []string
+	// ToUnread is set by Pipeline.DropDeadBindings when no operator above
+	// reads ToVar; the batched kernel then leaves the target's slot unbound.
+	ToUnread bool
 }
 
 // Filter keeps only rows for which Predicate evaluates to true.

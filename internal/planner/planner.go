@@ -73,6 +73,9 @@ func (p *Planner) Plan(q *ast.Query) (*plan.Plan, error) {
 	// Mark the plan's batched and morsel-parallel segments once at compile
 	// time; the executor (and EXPLAIN) reuse the analysis on every run.
 	pl.Pipeline = plan.AnalyzePipeline(pl)
+	// Unbind what nothing reads, before slots are assigned and the plan is
+	// cached, so no run boxes an anonymous relationship.
+	pl.Pipeline.DropDeadBindings()
 	// Assign every bindable name a fixed row slot; the executor carries rows
 	// as slot-indexed slices instead of per-row maps.
 	pl.Slots = plan.ComputeSlots(pl)
