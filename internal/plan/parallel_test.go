@@ -289,14 +289,14 @@ func TestLivenessReads(t *testing.T) {
 		{&Filter{}, "x", true}, // not in Ops
 	}
 	for _, c := range cases {
-		if got := pl.ReadAbove(c.op, c.name); got != c.read {
-			t.Errorf("ReadAbove(%s, %q) = %v, want %v", c.op.Describe(), c.name, got, c.read)
+		if got := pl.readAbove(c.op, c.name); got != c.read {
+			t.Errorf("readAbove(%s, %q) = %v, want %v", c.op.Describe(), c.name, got, c.read)
 		}
 	}
 
 	opt := &Optional{Input: e2, Inner: &Argument{}}
 	pl = AnalyzePipeline(&Plan{Root: opt, Columns: []string{"a"}, ReadOnly: true})
-	if !pl.ReadAbove(e2, "r2") || !pl.ReadAbove(e1, "anything") {
+	if !pl.readAbove(e2, "r2") || !pl.readAbove(e1, "anything") {
 		t.Errorf("an Optional above must make every name live")
 	}
 }

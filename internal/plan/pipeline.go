@@ -74,9 +74,9 @@ type Pipeline struct {
 	readsAll int
 }
 
-// ReadAbove reports whether an operator above op, or the plan's output, may
+// readAbove reports whether an operator above op, or the plan's output, may
 // read name. It answers true for an operator outside Ops.
-func (p *Pipeline) ReadAbove(op Operator, name string) bool {
+func (p *Pipeline) readAbove(op Operator, name string) bool {
 	i := slices.Index(p.Ops, op)
 	if i < 0 || p.readsAll > i {
 		return true
@@ -351,10 +351,10 @@ func (p *Pipeline) DropDeadBindings() {
 		if !ok {
 			continue
 		}
-		if o.RelVar != "" && !p.ReadAbove(o, o.RelVar) {
+		if o.RelVar != "" && !p.readAbove(o, o.RelVar) {
 			o.RelVar = ""
 		}
-		o.ToUnread = !o.ExpandInto && !p.ReadAbove(o, o.ToVar)
+		o.ToUnread = !o.ExpandInto && !p.readAbove(o, o.ToVar)
 	}
 }
 
