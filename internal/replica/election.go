@@ -132,7 +132,7 @@ type Cluster struct {
 	leaderAt  time.Time // when this node became leader (lease grace)
 	degraded  bool      // leader without a live quorum lease
 	acks      map[string]peerAck
-	ackNotify chan struct{} // closed+replaced whenever an ack lands
+	ackNotify chan struct{} // closed+replaced whenever an ack lands or leadership ends
 	pending   *stepdown
 	resyncAt  time.Time // last automatic resync of a parked tailer
 
@@ -668,6 +668,7 @@ func (c *Cluster) stepDown(sd *stepdown) {
 	c.fstore = fs
 	c.role = RoleFollower
 	c.leaderURL = sd.leader
+	c.wakeWaitersLocked()
 	term := c.term
 	c.applyFenceLocked(term)
 	c.mu.Unlock()
@@ -735,6 +736,7 @@ func (c *Cluster) observeTerm(term uint64) {
 	if wasLeader {
 		c.pending = &stepdown{term: term}
 		c.leaderURL = ""
+		c.wakeWaitersLocked()
 	} else {
 		// The leader we knew belonged to an older term.
 		if c.role == RoleCandidate {
@@ -780,18 +782,22 @@ func (c *Cluster) sendAck(pos storage.Position) {
 // WaitCommitted blocks until a majority of the cluster has durably
 // acknowledged pos (the leader itself counts), the context ends, or this
 // node stops leading. The serving layer calls it after each write query so a
-// 200 means majority-committed, not merely leader-durable.
+// 200 means majority-committed, not merely leader-durable. An ack in a later
+// generation counts: that generation's snapshot holds everything before it
+// (a write that lands between promotion and the post-election checkpoint
+// is acknowledged only that way, by followers that caught up from the
+// snapshot).
 func (c *Cluster) WaitCommitted(ctx context.Context, pos storage.Position) error {
 	for {
 		c.mu.Lock()
-		if c.role != RoleLeader {
+		if c.role != RoleLeader || c.pending != nil {
 			c.mu.Unlock()
 			return fmt.Errorf("replica: no longer the leader; the write may or may not survive the failover")
 		}
 		need := c.quorum - 1
 		have := 0
 		for _, a := range c.acks {
-			if a.pos.Gen == pos.Gen && a.pos.Offset >= pos.Offset {
+			if !a.pos.Before(pos) {
 				have++
 			}
 		}
@@ -808,6 +814,13 @@ func (c *Cluster) WaitCommitted(ctx context.Context, pos storage.Position) error
 		case <-ch:
 		}
 	}
+}
+
+// wakeWaitersLocked wakes every WaitCommitted call to re-check the acks and
+// whether this node still leads. c.mu must be held.
+func (c *Cluster) wakeWaitersLocked() {
+	close(c.ackNotify)
+	c.ackNotify = make(chan struct{})
 }
 
 // Position returns the node's current durable stream position.
@@ -971,6 +984,7 @@ func (c *Cluster) handleVote(w http.ResponseWriter, r *http.Request) {
 			if c.role == RoleLeader {
 				c.pending = &stepdown{term: req.Term}
 				c.leaderURL = ""
+				c.wakeWaitersLocked()
 				defer func() { c.cfg.Engine.SetLeaderless(); c.kick() }()
 			} else if c.role == RoleCandidate {
 				c.role = RoleFollower
@@ -1048,6 +1062,7 @@ func (c *Cluster) handleDeclare(w http.ResponseWriter, r *http.Request) {
 	wasLeader := c.role == RoleLeader && req.Leader != c.cfg.Advertise
 	if wasLeader {
 		c.pending = &stepdown{term: req.Term, leader: req.Leader}
+		c.wakeWaitersLocked()
 	} else if c.role == RoleCandidate {
 		c.role = RoleFollower
 	}
@@ -1077,8 +1092,7 @@ func (c *Cluster) handleAck(w http.ResponseWriter, r *http.Request) {
 	}
 	if c.role == RoleLeader && req.Term == c.term && req.Peer != "" {
 		c.acks[req.Peer] = peerAck{pos: req.Pos, at: time.Now()}
-		close(c.ackNotify)
-		c.ackNotify = make(chan struct{})
+		c.wakeWaitersLocked()
 	}
 	resp := termResponse{Term: c.term}
 	c.mu.Unlock()

@@ -465,3 +465,62 @@ func TestHeartbeatJitterNoSpuriousElections(t *testing.T) {
 	// Still live: a write commits through the delayed links.
 	mustCommit(t, lead, 2)
 }
+
+// TestWriteBeforeCheckpointCommitsFromLaterGeneration covers a write that
+// lands in one generation while the followers next acknowledge a later one:
+// the leader checkpoints before they see the write (as it does right after
+// promotion), so they catch up from the new snapshot. Their acks hold the
+// write and must count for it.
+func TestWriteBeforeCheckpointCommitsFromLaterGeneration(t *testing.T) {
+	nodes := startCluster(t, 3, 2*time.Second, true)
+	lead := waitOneLeader(t, nodes, 10*time.Second)
+	mustCommit(t, lead, 1)
+
+	lead.proxy.Partition(true)
+	if _, err := lead.engine.Run(`CREATE (:Doc {rev: 2})`, nil); err != nil {
+		t.Fatal(err)
+	}
+	pos := lead.cluster.Position()
+	if err := lead.engine.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if now := lead.cluster.Position(); now.Gen == pos.Gen {
+		t.Fatalf("checkpoint kept generation %d", now.Gen)
+	}
+	lead.proxy.Partition(false)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := lead.cluster.WaitCommitted(ctx, pos); err != nil {
+		t.Fatalf("write at %v never counted as committed: %v", pos, err)
+	}
+	waitClusterConverged(t, lead, nodes)
+}
+
+// TestWaitCommittedEndsWhenLeadershipDoes checks that a write waiting for its
+// quorum hears of a newer term at once instead of waiting out its context.
+func TestWaitCommittedEndsWhenLeadershipDoes(t *testing.T) {
+	nodes := startCluster(t, 3, 2*time.Second, true)
+	lead := waitOneLeader(t, nodes, 10*time.Second)
+	mustCommit(t, lead, 1)
+
+	// Cut the followers off so the next write cannot reach a quorum.
+	lead.proxy.Partition(true)
+	if _, err := lead.engine.Run(`CREATE (:Doc {rev: 2})`, nil); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	done := make(chan error, 1)
+	go func() { done <- lead.cluster.WaitCommitted(ctx, lead.cluster.Position()) }()
+	time.Sleep(50 * time.Millisecond)
+	lead.cluster.observeTerm(lead.cluster.Term() + 1)
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("a deposed leader quorum-committed a write no follower saw")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("WaitCommitted kept waiting after the leader was deposed")
+	}
+}
